@@ -32,6 +32,7 @@ from .frenkel_kac import (
 )
 from .partitions import (
     as_partition,
+    check_residue,
     partitions_up_to,
     remove_node,
     removable_of_residue,
@@ -47,6 +48,12 @@ class _CliError(Exception):
 def _check_l(value: int) -> int:
     if value < 2:
         raise _CliError(2, f"--l must be at least 2, got {value}")
+    return value
+
+
+def _check_degree(value: int) -> int:
+    if value < 0:
+        raise _CliError(2, f"--degree must be nonnegative, got {value}")
     return value
 
 
@@ -150,8 +157,7 @@ def cmd_act(args) -> int:
     lam = _load_partition(args.lam)
     try:
         kind, index, _mode = parse_generator(args.g)
-        if not 0 <= index <= l - 1:
-            raise ValueError(f"residue must be 0..{l - 1}: {index}")
+        check_residue(index, l)
         if args.side == "explicit":
             image = explicit_action(args.g, Vec.basis(lam), l)
         elif args.side == "frenkel-kac":
@@ -196,6 +202,7 @@ def _run_suite(name: str, l: int, degree: int) -> dict:
 
 def cmd_verify(args) -> int:
     l = _check_l(args.l)
+    _check_degree(args.degree)
     names = _SUITES if args.suite == "all" else (args.suite,)
     reports = {}
     for name in names:
@@ -221,6 +228,7 @@ def cmd_verify(args) -> int:
 
 def cmd_matrix(args) -> int:
     l = _check_l(args.l)
+    _check_degree(args.degree)
     try:
         parse_generator(args.g)
     except ValueError as exc:

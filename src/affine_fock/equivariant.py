@@ -23,6 +23,7 @@ from .partitions import (
     LaurentPoly,
     addable_of_residue,
     as_partition,
+    check_residue,
     content,
     diagonal_char,
     enumerate_partitions,
@@ -40,12 +41,6 @@ def _check_l(l: int) -> int:
     if l < 2:
         raise ValueError(f"need at least two residue classes: {l}")
     return l
-
-
-def _check_residue(i: int, l: int) -> int:
-    if not 0 <= i <= l - 1:
-        raise ValueError(f"residue must be 0..{l - 1}: {i}")
-    return i
 
 
 # ------------------------------------------------------------- characters
@@ -104,7 +99,7 @@ def normal_char(mu, lam, i: int, l: int) -> LaurentPoly:
     removable i-node R of mu, X the node removed.
     """
     l = _check_l(l)
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     lam, mu = as_partition(lam), as_partition(mu)
     x = _removed_node(lam, mu)
     if x is None:
@@ -177,7 +172,7 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
     distinct contents, so no factor vanishes.
     """
     l = _check_l(l)
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     lam, mu = as_partition(lam), as_partition(mu)
     x = _removed_node(lam, mu)
     if x is None or content(x) % l != i:

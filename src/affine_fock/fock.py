@@ -16,16 +16,22 @@ where Gplus(z) = exp(sum_m z^m heis(-m)/m) and Gminus(z) =
 exp(sum_m z^{-m} heis(m)/m); psi_j is the z^{j-1/2} coefficient of Psi and
 psi_star_j the z^{-j-1/2} coefficient of Psi_star. verify_boson_fermion
 compares the two routes mode by mode.
+
+The kernel coefficients are computed by the Pieri rules, in integers: the
+z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
+Gplus^{-1} a vertical d-strip (coefficient (-1)^d); the z^{-d} coefficients
+of Gminus and Gminus^{-1} remove a horizontal or a vertical d-strip with the
+same coefficients. The exponential series is never expanded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
 
 from . import maya
 from .maya import HALF, Maya
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, transpose
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
 # position. Flipping it desynchronizes the direct fermions from the kernel
@@ -119,6 +125,7 @@ def vacuum(charge: int = 0) -> Vec:
     return Vec.basis((int(charge), ()))
 
 
+@lru_cache(maxsize=1 << 12)
 def _maya_of(label) -> Maya:
     c, lam = label
     return maya.from_charge_partition(c, lam)
@@ -247,41 +254,48 @@ def _check_window(v: Vec, window) -> Vec:
     return v
 
 
-_GAMMA_CACHE: dict = {}
+def _horizontal_strips(lam, d: int, add: bool) -> list:
+    """Shapes mu such that mu/lam (add) or lam/mu (remove) is a horizontal
+    d-strip: row i moves by at most the gap to its neighbour, which is
+    lam[i-1] - lam[i] when adding (no bound on the first row, and one new
+    row) and lam[i] - lam[i+1] when removing.
+    """
+    gaps = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+    rows, caps, step = (lam + (0,), (d,) + gaps, 1) if add else (lam, gaps, -1)
+    out = []
+
+    def fill(i: int, left: int, prefix: tuple) -> None:
+        if not left:
+            mu = prefix + rows[i:]
+            out.append(mu[: len(mu) - mu.count(0)])  # zeros only at the tail
+        elif i < len(rows):
+            for x in range(min(caps[i], left) + 1):
+                fill(i + 1, left - x, prefix + (rows[i] + step * x,))
+
+    fill(0, d, ())
+    return out
 
 
+@lru_cache(maxsize=1 << 14)
 def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
-    """Shape part of the Gamma kernel coefficient (charge independent)."""
-    key = (sign, d, inverse, lam)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    total: dict = {}
-    for nu in enumerate_partitions(d):
-        coeff = Fraction(1)
-        mult: dict[int, int] = {}
-        for part in nu:
-            mult[part] = mult.get(part, 0) + 1
-        for part, k in mult.items():
-            coeff /= Fraction(part**k * factorial(k))
-        if inverse and len(nu) % 2:
-            coeff = -coeff
-        layer = {lam: coeff}
-        for part in nu:
-            nxt: dict = {}
-            for shape, c0 in layer.items():
-                for mu, c1 in _heis_on_shape(
-                    -part if sign == 1 else part, shape
-                ).items():
-                    nxt[mu] = nxt.get(mu, 0) + c0 * c1
-            layer = {s: c for s, c in nxt.items() if c}
-            if not layer:
-                break
-        for shape, c0 in layer.items():
-            total[shape] = total.get(shape, 0) + c0
-    total = {shape: coeff for shape, coeff in total.items() if coeff}
-    _GAMMA_CACHE[key] = total
-    return total
+    """Shape part of the Gamma kernel coefficient (charge independent).
+
+    The Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.5) give it with integer coefficients. The z^d coefficient of Gplus
+    multiplies by h_d: add a horizontal d-strip, coefficient 1. Its inverse
+    multiplies by (-1)^d e_d: add a vertical d-strip, coefficient (-1)^d.
+    Gminus and its inverse are the adjoints: remove a horizontal d-strip,
+    coefficient 1, or a vertical d-strip, coefficient (-1)^d. A vertical
+    strip is a horizontal strip of the transposed shape.
+    """
+    add = sign == 1
+    if not inverse:
+        return {mu: 1 for mu in _horizontal_strips(lam, d, add)}
+    coeff = (-1) ** d
+    return {
+        transpose(mu): coeff
+        for mu in _horizontal_strips(transpose(lam), d, add)
+    }
 
 
 def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False, window=None) -> Vec:
@@ -320,21 +334,21 @@ def fermion_field_coeff(kind: str, j, v: Vec, window=None) -> Vec:
     for label, coeff in v.terms.items():
         c, lam = label
         if kind == "psi":
-            target = j - HALF + c  # z^{-c} already extracted
+            target = int(j - HALF) + c  # z^{-c} already extracted
             out_charge = c - 1
             plus_inverse, minus_inverse = True, False
         else:
-            target = -j - HALF - c
+            target = int(-j - HALF) - c
             out_charge = c + 1
             plus_inverse, minus_inverse = False, True
-        for b in range(sum(lam) + 1):
-            a = target + b
-            if a < 0 or a != int(a):
-                continue
+        shapes: dict = {}
+        for b in range(max(0, -target), sum(lam) + 1):
             for shape, c1 in _gamma_on_shape(-1, b, minus_inverse, lam).items():
-                for mu, c2 in _gamma_on_shape(1, int(a), plus_inverse, shape).items():
-                    key = (out_charge, mu)
-                    total[key] = total.get(key, 0) + coeff * c1 * c2
+                for mu, c2 in _gamma_on_shape(1, target + b, plus_inverse, shape).items():
+                    shapes[mu] = shapes.get(mu, 0) + c1 * c2
+        for mu, n in shapes.items():
+            key = (out_charge, mu)
+            total[key] = total.get(key, 0) + coeff * n
     return _check_window(Vec(total), window)
 
 
@@ -377,6 +391,10 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     max_degree, and every mode whose image can stay in the window. Returns
     a report dict with a failures list.
     """
+    if max_degree < 0 or max_charge < 0:
+        raise ValueError(
+            f"degree and charge bounds must be nonnegative: {max_degree}, {max_charge}"
+        )
     failures = []
     charges = range(-max_charge, max_charge + 1)
     reach = max_degree + max_charge + 2

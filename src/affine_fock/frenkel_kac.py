@@ -37,6 +37,7 @@ from .partitions import (
     addable_of_residue,
     add_node,
     as_partition,
+    check_residue,
     enumerate_partitions,
     eta,
     remove_node,
@@ -394,19 +395,13 @@ def parse_generator(g: str) -> tuple[str, int, int | None]:
     return kind, int(idx), None
 
 
-def _check_residue(i: int, l: int) -> int:
-    if not 0 <= i <= l - 1:
-        raise ValueError(f"residue must be 0..{l - 1}: {i}")
-    return i
-
-
 def fk_e(i: int, v: Vec, l: int, window=None) -> Vec:
     """Raising generator at residue i on the lattice Fock space.
 
     Residue 0 is the f-type generator of the highest root at loop degree 1,
     so it carries the f dressing eps(theta, theta) eps(theta, beta).
     """
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     total = Vec.zero()
     for label, coeff in v.terms.items():
         beta, _ = label
@@ -429,7 +424,7 @@ def fk_f(i: int, v: Vec, l: int, window=None) -> Vec:
     Residue 0 is the e-type generator of the highest root at loop degree -1
     and carries the plain dressing eps(theta, beta).
     """
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     total = Vec.zero()
     for label, coeff in v.terms.items():
         beta, _ = label
@@ -448,7 +443,7 @@ def fk_f(i: int, v: Vec, l: int, window=None) -> Vec:
 
 def fk_h(i: int, v: Vec, l: int) -> Vec:
     """Diagonal generator: pairing with the lattice label."""
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
 
     def on_basis(label) -> Vec:
         beta, _ = label
@@ -463,34 +458,10 @@ def fk_h(i: int, v: Vec, l: int) -> Vec:
 
 def fk_p(i: int, m: int, v: Vec, l: int) -> Vec:
     """Loop Heisenberg at residue i: difference of adjacent strand modes."""
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     if i == 0:
         return heis_tensor(m, l - 1, v) - heis_tensor(m, 0, v)
     return heis_tensor(m, i - 1, v) - heis_tensor(m, i, v)
-
-
-def fk_root_action(kind: str, alpha, m: int, v: Vec, l: int, window=None) -> Vec:
-    """General root generator at loop degree m: the z^{-m} vertex mode.
-
-    kind="e" acts by eps(alpha, beta) X_{-m}(alpha), kind="f" by
-    eps(alpha, alpha) eps(alpha, beta) X_{-m}(-alpha). The extra
-    eps(alpha, alpha) on the f side is what closes [e, f] = h.
-    """
-    if kind not in ("e", "f"):
-        raise ValueError("kind must be 'e' or 'f'")
-    alpha = check_lattice_vector(alpha, l)
-    total = Vec.zero()
-    for label, coeff in v.terms.items():
-        beta, _ = label
-        piece = Vec({label: coeff})
-        if kind == "e":
-            sign = epsilon(alpha, beta, l)
-            out = vertex_coeff(alpha, -m, piece, l, window)
-        else:
-            sign = epsilon(alpha, alpha, l) * epsilon(alpha, beta, l)
-            out = vertex_coeff(tuple(-x for x in alpha), -m, piece, l, window)
-        total = total + sign * out
-    return total
 
 
 def fk_action(g: str, v: Vec, l: int, window=None) -> Vec:
@@ -512,7 +483,7 @@ def explicit_e(i: int, v: Vec, l: int) -> Vec:
     The prefactor is minus the f prefactor; with the smaller-content scan
     this is what makes [e_i, f_i] = h_i close on every shape.
     """
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
 
     def on_basis(lam) -> Vec:
         counts = residue_counts(lam, l)
@@ -529,7 +500,7 @@ def explicit_e(i: int, v: Vec, l: int) -> Vec:
 def explicit_f(i: int, v: Vec, l: int) -> Vec:
     """Add one node of content class i; signs read off the diagram before
     the addition."""
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
 
     def on_basis(lam) -> Vec:
         counts = residue_counts(lam, l)
@@ -545,7 +516,7 @@ def explicit_f(i: int, v: Vec, l: int) -> Vec:
 
 def explicit_h(i: int, v: Vec, l: int) -> Vec:
     """Diagonal: addable minus removable count of the content class."""
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
 
     def on_basis(lam) -> Vec:
         value = len(addable_of_residue(lam, i, l)) - len(
@@ -607,7 +578,7 @@ def _strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
 
 def explicit_p(i: int, mode: int, v: Vec, l: int) -> Vec:
     """Loop Heisenberg on partitions by direct strand hopping."""
-    i = _check_residue(i, l)
+    i = check_residue(i, l)
     if mode == 0:
         raise ValueError("the degree-zero mode is excluded")
     if i == 0:

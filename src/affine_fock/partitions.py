@@ -177,6 +177,13 @@ def diagonal_char(lam: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(counts)
 
 
+def check_residue(i: int, l: int) -> int:
+    """A residue class mod l, given by its representative 0..l-1."""
+    if not 0 <= i <= l - 1:
+        raise ValueError(f"residue must be 0..{l - 1}: {i}")
+    return i
+
+
 def residue_counts(lam: tuple[int, ...], l: int) -> tuple[int, ...]:
     """Number of nodes of each content class mod l, indexed 0..l-1."""
     if l < 1:
@@ -321,10 +328,3 @@ def partitions_up_to(max_size: int) -> list[tuple[int, ...]]:
     for n in range(max_size + 1):
         out.extend(enumerate_partitions(n))
     return out
-
-
-def enumerate_with_residues(
-    n: int, l: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Partitions of n paired with their residue count vectors mod l."""
-    return [(lam, residue_counts(lam, l)) for lam in enumerate_partitions(n)]

@@ -126,6 +126,17 @@ def test_act_malformed_inputs_exit_2(capsys):
     assert code == 2 and "e_i" in err
 
 
+def test_negative_degree_exits_2(capsys):
+    for argv in (
+        ("verify", "--suite", "all", "--degree", "-1"),
+        ("verify", "--suite", "boson-fermion", "--degree", "-1"),
+        ("matrix", "--g", "f_0", "--l", "3", "--degree", "-2"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --degree must be nonnegative, got {argv[-1]}\n"
+
+
 def test_argparse_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["act", "--lambda", "[]", "--l", "2"])

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -20,6 +21,7 @@ from affine_fock.fock import (
     vec_json,
 )
 from affine_fock.maya import HALF
+from affine_fock.partitions import enumerate_partitions, partitions_up_to
 from conftest import partitions
 
 
@@ -91,6 +93,42 @@ def test_gamma_frozen_coefficients():
         gamma_coeff(1, -1, vacuum())
 
 
+def exponential_kernel(sign, d, inverse, lam):
+    """Oracle for fock._gamma_on_shape: the z^(sign*d) coefficient of
+    exp(+-sum_m z^(sign*m) heis(-sign*m)/m), expanded over partitions nu of
+    d with weights 1/z_nu and one heis hop per part."""
+    total = {}
+    for nu in enumerate_partitions(d):
+        coeff = Fraction(1)
+        for part in set(nu):
+            k = nu.count(part)
+            coeff /= part**k * factorial(k)
+        if inverse and len(nu) % 2:
+            coeff = -coeff
+        layer = {lam: coeff}
+        for part in nu:
+            nxt = {}
+            for shape, c0 in layer.items():
+                for mu, c1 in fock._heis_on_shape(-sign * part, shape).items():
+                    nxt[mu] = nxt.get(mu, 0) + c0 * c1
+            layer = nxt
+        for shape, c0 in layer.items():
+            total[shape] = total.get(shape, 0) + c0
+    return {shape: coeff for shape, coeff in total.items() if coeff}
+
+
+def test_strip_kernel_matches_exponential_expansion():
+    """The Pieri strip rules, raising and lowering, equal the power-sum
+    exponential on every |lam| <= 6, d <= 6, and stay integral."""
+    for lam in partitions_up_to(6):
+        for d in range(7):
+            for sign in (1, -1):
+                for inverse in (False, True):
+                    got = fock._gamma_on_shape(sign, d, inverse, lam)
+                    assert got == exponential_kernel(sign, d, inverse, lam)
+                    assert all(type(c) is int for c in got.values())
+
+
 @given(partitions(max_size=4), st.integers(min_value=1, max_value=3))
 def test_gamma_inverse_is_inverse(lam, d):
     """The degree-d coefficient of G G^-1 vanishes for d > 0."""
@@ -119,6 +157,13 @@ def test_boson_fermion_suite_small():
     report = fock.verify_boson_fermion(max_degree=4, max_charge=1)
     assert report["status"] == "ok"
     assert report["failures"] == []
+
+
+def test_boson_fermion_suite_rejects_negative_bounds():
+    with pytest.raises(ValueError):
+        fock.verify_boson_fermion(max_degree=-1)
+    with pytest.raises(ValueError):
+        fock.verify_boson_fermion(max_degree=2, max_charge=-1)
 
 
 def test_labels_and_json_are_deterministic():
