@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -319,17 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    threads = os.environ.get("AFFINE_FOCK_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                "error: AFFINE_FOCK_THREADS must be a positive integer",
-                file=sys.stderr,
-            )
-            return 2
     try:
         return args.func(args)
     except _CliError as exc:

@@ -1,19 +1,25 @@
-"""The l-core / l-quotient decomposition of partitions.
+"""The l-core / l-quotient decomposition of partitions, on the abacus.
 
-Reading a partition's Maya diagram along the l congruence classes of
-positions produces l strand diagrams. The vector of negated strand charges
-is the core vector c (it determines the l-core), and the normalized strand
-shapes form the l-quotient. Removing an l-hook from the partition is the
-same as moving one particle down one step on a single strand, so the
+The James-Kerber abacus (James and Kerber 1981) puts bead i of a partition
+lam at the integer position i - lam_i, for i below a multiple m*l of l with
+m*l >= len(lam); every position from m*l upward holds a bead too. Position
+b lies on runner b % l at level b // l. Runner r is the Maya strand
+r + 1/2: its beads, read as a diagram of their own, have charge n_r - m for
+n_r beads below level m. The core vector is c_r = m - n_r (it determines
+the l-core), and quotient component r has parts j + c_r - level_j, the
+levels taken in increasing order. Removing an l-hook from the partition is
+the same as moving one bead down one level on a single runner, so the
 partition size decomposes as |lam| = |core| + l * (total quotient size).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from . import maya
 from .partitions import LaurentPoly, as_partition, diagonal_char, hook_lengths, size
+
+
+def _check_strands(l: int) -> None:
+    if l < 1:
+        raise ValueError("number of strands must be positive")
 
 
 def core_and_quotient(
@@ -21,23 +27,26 @@ def core_and_quotient(
 ) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Core vector and quotient tuple of a partition.
 
-    Component k of the core vector (k running over 1/2, ..., l - 1/2 in
-    order) is minus the charge of strand k; component k of the quotient is
-    the strand's normalized shape.
+    Component r of the core vector (runner r, the strand r + 1/2) is minus
+    the charge of the runner's beads; component r of the quotient is the
+    runner's normalized shape.
     """
     lam = as_partition(lam)
-    m = maya.from_partition(lam)
-    c = []
-    q = []
-    for k in maya.strand_positions(l):
-        s = maya.strand(m, l, k)
-        ch, shape = maya.to_charge_partition(s)
-        c.append(-ch)
-        q.append(shape)
-    return tuple(c), tuple(q)
+    _check_strands(l)
+    m = -(-len(lam) // l)  # len(lam) / l rounded up
+    levels = [[] for _ in range(l)]
+    for i, part in enumerate(lam + (0,) * (m * l - len(lam))):
+        levels[(i - part) % l].append((i - part) // l)
+    c = tuple(m - len(runner) for runner in levels)
+    q = tuple(
+        tuple(j + cr - level for j, level in enumerate(runner) if j + cr > level)
+        for cr, runner in zip(c, levels)
+    )
+    return c, q
 
 
 def check_core_vector(c, l: int) -> tuple[int, ...]:
+    _check_strands(l)
     c = tuple(int(x) for x in c)
     if len(c) != l:
         raise ValueError(f"core vector must have {l} components: {c}")
@@ -52,12 +61,13 @@ def cq_inverse(c, q, l: int) -> tuple[int, ...]:
     q = tuple(as_partition(part) for part in q)
     if len(q) != l:
         raise ValueError(f"quotient must have {l} components: {q}")
-    strands = [maya.from_charge_partition(-ck, qk) for ck, qk in zip(c, q)]
-    m = maya.assemble_strands(strands, l)
-    charge, lam = maya.to_charge_partition(m)
-    if charge != 0:
-        raise AssertionError("assembled diagram must have charge zero")
-    return lam
+    m = max(len(qr) + cr for cr, qr in zip(c, q))
+    beads = sorted(
+        l * (j + cr - part) + r
+        for r, (cr, qr) in enumerate(zip(c, q))
+        for j, part in enumerate(qr + (0,) * (m - cr - len(qr)))
+    )
+    return tuple(i - bead for i, bead in enumerate(beads) if i > bead)
 
 
 def core_partition(c, l: int) -> tuple[int, ...]:
@@ -74,19 +84,18 @@ def is_l_core(lam, l: int) -> bool:
 def quotient_char_rhs(c, q, l: int) -> LaurentPoly:
     """Content character rebuilt from core and quotient data.
 
-    The core contributes its own character; strand k contributes its
-    normalized character inflated by l, shifted by l*c_k, and smeared over
-    the l consecutive integer contents ending at k - 1/2.
+    The core contributes its own character; runner r contributes its
+    normalized character inflated by l, shifted by l*c_r, and smeared over
+    the l consecutive integer contents ending at r.
     """
     c = check_core_vector(c, l)
     q = tuple(as_partition(part) for part in q)
     total = diagonal_char(core_partition(c, l))
-    for ck, qk, k in zip(c, q, maya.strand_positions(l)):
-        if not qk:
+    for r, (cr, qr) in enumerate(zip(c, q)):
+        if not qr:
             continue
-        top = int(k - Fraction(1, 2))
-        window = LaurentPoly({e: 1 for e in range(top - l + 1, top + 1)})
-        total = total + diagonal_char(qk).compose_power(l).shift(l * ck) * window
+        window = LaurentPoly({e: 1 for e in range(r - l + 1, r + 1)})
+        total = total + diagonal_char(qr).compose_power(l).shift(l * cr) * window
     return total
 
 

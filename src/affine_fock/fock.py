@@ -183,9 +183,7 @@ def psi_star(j, v: Vec) -> Vec:
     return v.apply(on_basis)
 
 
-_HEIS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1 << 14)
 def _heis_on_shape(n: int, lam) -> dict:
     """heis(n) on the charge-zero label of shape lam: hops p -> p + n.
 
@@ -193,10 +191,6 @@ def _heis_on_shape(n: int, lam) -> dict:
     the two positions, which is what the pair of fermion signs contracts to.
     The result is charge independent, so it is cached by shape alone.
     """
-    key = (n, lam)
-    cached = _HEIS_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = maya.from_partition(lam)
     candidates = set(m.particles_below)
     candidates.update(h - n for h in m.holes_above)
@@ -219,9 +213,7 @@ def _heis_on_shape(n: int, lam) -> dict:
         )
         sign = (-1) ** between
         out[target] = out.get(target, 0) + sign
-    out = {shape: coeff for shape, coeff in out.items() if coeff}
-    _HEIS_CACHE[key] = out
-    return out
+    return {shape: coeff for shape, coeff in out.items() if coeff}
 
 
 def heis(n: int, v: Vec) -> Vec:

@@ -17,9 +17,13 @@ alpha(-n)/n), and alpha(n) the strand Heisenberg weighted by alpha. The
 strand boson is the particle-hole twist of the plain strip expansion (mode
 n carries an extra (-1)^(|n|-1), equivalently strips are counted on the
 transposed shape); without the twist the two routes already disagree on
-partitions of 4. A two-cocycle sign eps(., .) on the lattice makes the
-relations close: e-type generators are dressed by eps(alpha, beta) on
-[beta], f-type by eps(alpha, alpha) eps(alpha, beta).
+partitions of 4. Both exponentials factor over strands: Eminus(z) is the
+product of Gplus_k(z)^alpha_k and Eplus(z) of Gminus_k(z)^-alpha_k, with
+Gplus_k, Gminus_k the twisted half-vertices of strand k. Each factor is the
+integer strip kernel of fock on the transposed shape, so the exponentials
+need no rational arithmetic. A two-cocycle sign eps(., .) on the lattice
+makes the relations close: e-type generators are dressed by eps(alpha,
+beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
 
 verify_intertwining checks that the transport intertwines the two routes;
 verify_relations checks the Chevalley-Serre relations degreewise.
@@ -27,7 +31,7 @@ verify_relations checks the Chevalley-Serre relations degreewise.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import core_quotient, fock, maya
@@ -38,8 +42,8 @@ from .partitions import (
     add_node,
     as_partition,
     check_residue,
-    enumerate_partitions,
     eta,
+    partitions_up_to,
     remove_node,
     removable_of_residue,
     residue_counts,
@@ -198,58 +202,38 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
     return v.apply(on_basis)
 
 
-def _alpha_heis_on_shapes(n: int, alpha, mus) -> dict:
-    """alpha(n) = sum_k alpha_k p(n)_k on a tuple of shapes."""
-    out: dict = {}
-    for k, weight in enumerate(alpha):
-        if not weight:
-            continue
-        for mu, coeff in _twisted_heis_on_shape(n, mus[k]).items():
-            new = mus[:k] + (mu,) + mus[k + 1 :]
-            out[new] = out.get(new, 0) + weight * coeff
-    return out
+@lru_cache(maxsize=1 << 14)
+def _twisted_gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
+    """Half-vertex coefficient built from the twisted strand boson.
 
-
-_ESTEP_CACHE: dict = {}
+    Conjugating the plain half-vertex by shape transposition twists every
+    mode consistently with _twisted_heis_on_shape.
+    """
+    flipped = fock._gamma_on_shape(sign, d, inverse, transpose(lam))
+    return {transpose(mu): coeff for mu, coeff in flipped.items()}
 
 
 def _exp_coeff_on_shapes(alpha, sign: int, d: int, mus) -> dict:
     """Coefficient of z^(sign*d) in the vertex exponential on shapes.
 
     sign=+1 is exp(sum_n z^n alpha(-n)/n); sign=-1 is
-    exp(-sum_n z^-n alpha(n)/n), whose expansion carries (-1)^(number of
-    factors).
+    exp(-sum_n z^-n alpha(n)/n). Both factor over strands: alpha(n) is
+    sum_k alpha_k p(n)_k, so strand k contributes |alpha_k| commuting copies
+    of its twisted half-vertex (Gplus_k for sign=+1, Gminus_k for sign=-1),
+    inverted exactly when sign*alpha_k < 0. The coefficient sums the strip
+    kernels of the factors over the ways to split d among them, in integers.
     """
-    key = (alpha, sign, d, mus)
-    cached = _ESTEP_CACHE.get(key)
-    if cached is not None:
-        return cached
-    total: dict = {}
-    for nu in enumerate_partitions(d):
-        coeff = Fraction(1)
-        mult: dict[int, int] = {}
-        for part in nu:
-            mult[part] = mult.get(part, 0) + 1
-        for part, k in mult.items():
-            coeff /= Fraction(part**k * factorial(k))
-        if sign == -1 and len(nu) % 2:
-            coeff = -coeff
-        layer = {mus: coeff}
-        for part in nu:
-            nxt: dict = {}
-            for shapes, c0 in layer.items():
-                for new, c1 in _alpha_heis_on_shapes(
-                    -part if sign == 1 else part, alpha, shapes
-                ).items():
-                    nxt[new] = nxt.get(new, 0) + c0 * c1
-            layer = {s: c for s, c in nxt.items() if c}
-            if not layer:
-                break
-        for shapes, c0 in layer.items():
-            total[shapes] = total.get(shapes, 0) + c0
-    total = {shapes: coeff for shapes, coeff in total.items() if coeff}
-    _ESTEP_CACHE[key] = total
-    return total
+    factors = [(k, sign * a < 0) for k, a in enumerate(alpha) for _ in range(abs(a))]
+    layer = {(mus, d): 1}  # shapes and the degree still to place
+    for k, inverse in factors:
+        nxt: dict = {}
+        for (shapes, left), c0 in layer.items():
+            for e in range(left + 1):
+                for mu, c1 in _twisted_gamma_on_shape(sign, e, inverse, shapes[k]).items():
+                    key = (shapes[:k] + (mu,) + shapes[k + 1 :], left - e)
+                    nxt[key] = nxt.get(key, 0) + c0 * c1
+        layer = nxt
+    return {shapes: c for (shapes, left), c in layer.items() if c and not left}
 
 
 # --------------------------------------------------------- vertex operator
@@ -291,24 +275,6 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int | None = None, window=None) -> Ve
 
 
 # ------------------------------------------------- strand fermion fields
-
-_TWGAMMA_CACHE: dict = {}
-
-
-def _twisted_gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
-    """Half-vertex coefficient built from the twisted strand boson.
-
-    Conjugating the plain half-vertex by shape transposition twists every
-    mode consistently with _twisted_heis_on_shape.
-    """
-    key = (sign, d, inverse, lam)
-    cached = _TWGAMMA_CACHE.get(key)
-    if cached is None:
-        flipped = fock._gamma_on_shape(sign, d, inverse, transpose(lam))
-        cached = {transpose(mu): coeff for mu, coeff in flipped.items()}
-        _TWGAMMA_CACHE[key] = cached
-    return cached
-
 
 def strand_field_coeff(kind: str, j, k_index: int, v: Vec) -> Vec:
     """Modes of the paired strand fermion fields on the lattice Fock space.
@@ -527,9 +493,7 @@ def explicit_h(i: int, v: Vec, l: int) -> Vec:
     return v.apply(on_basis)
 
 
-_HOP_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1 << 14)
 def _strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
     """Single-strand boson read directly off the global diagram.
 
@@ -538,10 +502,6 @@ def _strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
     same congruence class strictly between. Hole counting (rather than
     particle counting) matches the twisted strand boson on the vertex side.
     """
-    key = (k, n, lam, l)
-    cached = _HOP_CACHE.get(key)
-    if cached is not None:
-        return cached
     m = maya.from_partition(lam)
     stride = n * l
     candidates = set()
@@ -571,9 +531,7 @@ def _strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
         )
         sign = (-1) ** between
         out[target] = out.get(target, 0) + sign
-    out = {shape: coeff for shape, coeff in out.items() if coeff}
-    _HOP_CACHE[key] = out
-    return out
+    return {shape: coeff for shape, coeff in out.items() if coeff}
 
 
 def explicit_p(i: int, mode: int, v: Vec, l: int) -> Vec:
@@ -632,9 +590,7 @@ def verify_intertwining(l: int, max_degree: int, generators=None) -> dict:
     if generators is None:
         generators = default_generators(l)
     failures = []
-    shapes = [
-        lam for n in range(max_degree + 1) for lam in enumerate_partitions(n)
-    ]
+    shapes = partitions_up_to(max_degree)
     for g in generators:
         for lam in shapes:
             v = Vec.basis(lam)
@@ -681,9 +637,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
             }
         )
 
-    shapes = [
-        lam for n in range(max_degree + 1) for lam in enumerate_partitions(n)
-    ]
+    shapes = partitions_up_to(max_degree)
     for i in range(l):
         for j in range(l):
             for lam in shapes:

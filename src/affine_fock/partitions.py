@@ -323,7 +323,13 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def partitions_up_to(max_size: int) -> list[tuple[int, ...]]:
-    """All partitions of size 0..max_size in graded lexicographic order."""
+    """All partitions of size 0..max_size in graded lexicographic order.
+
+    A negative bound is an error rather than an empty list, so that a suite
+    enumerating through here cannot pass after checking nothing.
+    """
+    if max_size < 0:
+        raise ValueError(f"size bound must be nonnegative: {max_size}")
     out: list[tuple[int, ...]] = []
     for n in range(max_size + 1):
         out.extend(enumerate_partitions(n))

@@ -18,7 +18,6 @@ def run_main(capsys, *argv):
 
 def run_proc(*argv, env_extra=None):
     env = dict(os.environ)
-    env.pop("AFFINE_FOCK_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -141,16 +140,6 @@ def test_argparse_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         cli.main(["act", "--lambda", "[]", "--l", "2"])
     assert exc.value.code == 2
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("AFFINE_FOCK_THREADS", "not-a-number")
-    code, _, err = run_main(capsys, "verify", "--suite", "fixed-points", "--degree", "2")
-    assert code == 2 and "AFFINE_FOCK_THREADS" in err
-    monkeypatch.setenv("AFFINE_FOCK_THREADS", "0")
-    assert run_main(capsys, "verify", "--suite", "fixed-points", "--degree", "2")[0] == 2
-    monkeypatch.setenv("AFFINE_FOCK_THREADS", "4")
-    assert run_main(capsys, "verify", "--suite", "fixed-points", "--degree", "2")[0] == 0
 
 
 def test_overflow_exit_4(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 
 from affine_fock import core_quotient as cq
+from affine_fock import maya
 from affine_fock import partitions as pt
 from conftest import levels, partitions
 
@@ -26,6 +27,46 @@ FROZEN = [
 def test_frozen_decompositions(lam, l, c, q):
     assert cq.core_and_quotient(lam, l) == (c, q)
     assert cq.cq_inverse(c, q, l) == lam
+
+
+def maya_core_and_quotient(lam, l):
+    """Oracle for the abacus: read the Maya diagram strand by strand."""
+    m = maya.from_partition(lam)
+    c, q = [], []
+    for k in maya.strand_positions(l):
+        charge, shape = maya.to_charge_partition(maya.strand(m, l, k))
+        c.append(-charge)
+        q.append(shape)
+    return tuple(c), tuple(q)
+
+
+def maya_cq_inverse(c, q, l):
+    """Oracle for the abacus inverse: interleave the strand diagrams."""
+    strands = [maya.from_charge_partition(-ck, qk) for ck, qk in zip(c, q)]
+    charge, lam = maya.to_charge_partition(maya.assemble_strands(strands, l))
+    assert charge == 0
+    return lam
+
+
+@pytest.mark.parametrize("l", range(2, 7))
+def test_abacus_matches_maya_strands(l):
+    """Every |lam| <= 12, both directions, against the strand route."""
+    for lam in pt.partitions_up_to(12):
+        c, q = cq.core_and_quotient(lam, l)
+        assert (c, q) == maya_core_and_quotient(lam, l)
+        assert cq.cq_inverse(c, q, l) == maya_cq_inverse(c, q, l) == lam
+
+
+@pytest.mark.parametrize("l", [0, -1])
+def test_nonpositive_strand_count_rejected(l):
+    for call in (
+        lambda: cq.core_and_quotient((2, 1), l),
+        lambda: cq.cq_inverse((), (), l),
+        lambda: cq.core_partition((), l),
+        lambda: cq.quotient_char_rhs((), (), l),
+    ):
+        with pytest.raises(ValueError, match="number of strands must be positive"):
+            call()
 
 
 def test_frozen_inverse_cases():

@@ -14,7 +14,6 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("AFFINE_FOCK_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-B", str(demo)], capture_output=True, text=True, env=env
     )

@@ -147,6 +147,8 @@ def test_fixed_point_suite():
     report = eq.verify_fixed_points(3, 8)
     assert report["status"] == "ok"
     assert report["failures"] == []
+    with pytest.raises(ValueError):
+        eq.verify_fixed_points(3, -1)
 
 
 def test_geometric_match_suite():
@@ -154,3 +156,7 @@ def test_geometric_match_suite():
     assert report["status"] == "ok"
     report = eq.verify_geometric_match(3, 4, parity_degree=6)
     assert report["status"] == "ok"
+    with pytest.raises(ValueError):
+        eq.verify_geometric_match(2, -1)
+    with pytest.raises(ValueError):
+        eq.verify_geometric_match(2, 3, parity_degree=-1)

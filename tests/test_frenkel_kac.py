@@ -1,9 +1,15 @@
+import itertools
+from fractions import Fraction
+from functools import lru_cache
+from math import factorial
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from affine_fock import frenkel_kac as fk
 from affine_fock.fock import Vec
+from affine_fock.partitions import enumerate_partitions, partitions_up_to
 from conftest import partitions
 
 
@@ -126,6 +132,66 @@ def test_vertex_exponential_vs_bilinear(lam, l, n):
         assert fk.vertex_bilinear(i, n, v, l) == fk.vertex_coeff(root, n, v, l)
 
 
+@lru_cache(maxsize=None)
+def alpha_mode(alpha, n, shapes):
+    """alpha(n) = sum_k alpha_k times the twisted strand boson on shape k."""
+    out = {}
+    for k, weight in enumerate(alpha):
+        for mu, coeff in fk._twisted_heis_on_shape(n, shapes[k]).items():
+            new = shapes[:k] + (mu,) + shapes[k + 1 :]
+            out[new] = out.get(new, 0) + weight * coeff
+    return out
+
+
+def power_sum_exponential(alpha, sign, d, mus):
+    """Oracle for fk._exp_coeff_on_shapes: expand exp(sum_n z^n alpha(-n)/n)
+    (sign=+1) or exp(-sum_n z^-n alpha(n)/n) (sign=-1) over partitions nu of
+    d with weights 1/z_nu. The sum is kept as an integer multiple of 1/d!,
+    d!/z_nu being the number of permutations of cycle type nu."""
+    total = {}
+    for nu in enumerate_partitions(d):
+        coeff = factorial(d)
+        for part in set(nu):
+            k = nu.count(part)
+            coeff //= part**k * factorial(k)
+        if sign == -1 and len(nu) % 2:
+            coeff = -coeff
+        layer = {mus: coeff}
+        for part in nu:
+            nxt = {}
+            for shapes, c0 in layer.items():
+                for new, c1 in alpha_mode(alpha, -sign * part, shapes).items():
+                    nxt[new] = nxt.get(new, 0) + c0 * c1
+            layer = nxt
+        for shapes, c0 in layer.items():
+            total[shapes] = total.get(shapes, 0) + c0
+    return {
+        shapes: Fraction(coeff, factorial(d)) for shapes, coeff in total.items() if coeff
+    }
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+def test_strand_kernel_matches_power_sum_exponential(l):
+    """The product of strand strip kernels equals the power-sum expansion on
+    every quotient tuple of total size <= 4, d <= 4, both signs, for the
+    roots +-alpha_i, +-theta and a vector with a +-2 coordinate."""
+    roots = [fk.simple_root(i, l) for i in range(1, l)] + [fk.theta(l)]
+    roots.append((2, -2) if l == 2 else (2, -1) + (0,) * (l - 3) + (-1,))
+    alphas = roots + [tuple(-x for x in root) for root in roots]
+    tuples = [
+        mus
+        for mus in itertools.product(partitions_up_to(4), repeat=l)
+        if sum(map(sum, mus)) <= 4
+    ]
+    for alpha in alphas:
+        for mus in tuples:
+            for d in range(5):
+                for sign in (1, -1):
+                    got = fk._exp_coeff_on_shapes(alpha, sign, d, mus)
+                    assert got == power_sum_exponential(alpha, sign, d, mus)
+                    assert all(type(c) is int for c in got.values())
+
+
 def test_h_is_diagonal_with_node_counts():
     from affine_fock.partitions import addable_of_residue, removable_of_residue
 
@@ -150,9 +216,13 @@ def test_intertwining_suite_small():
         report = fk.verify_intertwining(l, 4)
         assert report["status"] == "ok"
         assert report["failures"] == []
+    with pytest.raises(ValueError):
+        fk.verify_intertwining(2, -1)
 
 
 def test_relations_suite_small():
     report = fk.verify_relations(2, 4)
     assert report["status"] == "ok"
     assert report["failures"] == []
+    with pytest.raises(ValueError):
+        fk.verify_relations(2, -1)

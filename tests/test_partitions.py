@@ -190,6 +190,9 @@ def test_enumeration_counts_and_order():
         (2, 1),
         (1, 1, 1),
     ]
+    assert pt.partitions_up_to(0) == [()]
+    with pytest.raises(ValueError):
+        pt.partitions_up_to(-1)
 
 
 @given(st.integers(min_value=0, max_value=10))
