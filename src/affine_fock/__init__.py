@@ -3,8 +3,9 @@
 Two independent realizations of the same generator action on partition
 basis vectors: an explicit boundary-node formula, and a lattice vertex
 operator construction transported through the core/quotient bijection.
-Everything is exact (integers and Fractions); the verify_* suites check
-the realizations against each other and against localization weights.
+Everything is exact: the actions have integer coefficients and only the
+localization weights are Fractions. The verify_* suites check the
+realizations against each other and against localization weights.
 """
 
 from .core_quotient import core_and_quotient, cq_inverse, core_partition

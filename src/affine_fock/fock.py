@@ -1,11 +1,13 @@
-"""Charged fermionic Fock space with exact rational coefficients.
+"""Charged fermionic Fock space with integer coefficients.
 
-Basis labels are pairs (charge, partition). The fermion psi_j deletes the
-particle at half-integer position j (dropping the charge by one) and
+Basis labels are pairs (charge, partition). The label (c, lam) is the set
+of beads at the integers i - lam_i - c for i >= 0; bead b is the particle
+at the half-integer position b + 1/2 of the Maya diagram. The fermion psi_j
+deletes the particle at position j (dropping the charge by one) and
 psi_star_j inserts one; both carry the sign (-1)**(number of particles
 strictly below j). The degree-n Heisenberg operator heis(n) is the sum of
-all single-particle hops by n steps with the fermionic sign, which on
-partition labels reproduces the border-strip expansion.
+all single-bead hops by n steps with the fermionic sign, which on
+partition labels is the border-strip (Murnaghan-Nakayama) expansion.
 
 The same fermions arise as coefficients of the kernel fields
 
@@ -26,11 +28,10 @@ same coefficients. The exponential series is never expanded.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from . import maya
-from .maya import HALF, Maya
+from .maya import HALF
 from .partitions import enumerate_partitions, transpose
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
@@ -44,29 +45,27 @@ class DegreeOverflowError(Exception):
 
 
 class Vec:
-    """Finite linear combination of hashable basis labels over Q."""
+    """Finite linear combination of hashable basis labels.
+
+    Coefficients are stored as given: ints on every route but the
+    geometric one, which divides and so yields Fractions.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict = {}
-        if terms:
-            for label, coeff in dict(terms).items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[label] = clean.get(label, 0) + coeff
-        self.terms = {k: v for k, v in clean.items() if v}
+        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
 
     @classmethod
     def basis(cls, label) -> "Vec":
-        return cls({label: Fraction(1)})
+        return cls({label: 1})
 
     @classmethod
     def zero(cls) -> "Vec":
         return cls()
 
-    def coeff(self, label) -> Fraction:
-        return self.terms.get(label, Fraction(0))
+    def coeff(self, label):
+        return self.terms.get(label, 0)
 
     def __add__(self, other: "Vec") -> "Vec":
         out = dict(self.terms)
@@ -84,7 +83,6 @@ class Vec:
         return Vec({label: -coeff for label, coeff in self.terms.items()})
 
     def __mul__(self, scalar) -> "Vec":
-        scalar = Fraction(scalar)
         return Vec({label: coeff * scalar for label, coeff in self.terms.items()})
 
     __rmul__ = __mul__
@@ -125,106 +123,103 @@ def vacuum(charge: int = 0) -> Vec:
     return Vec.basis((int(charge), ()))
 
 
-@lru_cache(maxsize=1 << 12)
-def _maya_of(label) -> Maya:
-    c, lam = label
-    return maya.from_charge_partition(c, lam)
+def _bead_index(c: int, lam, b: int) -> tuple[int, bool]:
+    """Number k of beads below position b on the label (c, lam), and
+    whether b holds a bead. The beads sit at i - lam_i - c, increasing in i.
+    """
+    for k, part in enumerate(lam):
+        bead = k - part - c
+        if bead >= b:
+            return k, bead == b
+    return max(len(lam), b + c), b + c >= len(lam)
 
 
-def _label_of(m: Maya):
-    return maya.to_charge_partition(m)
-
-
-def _count_below(m: Maya, j: Fraction) -> int:
-    """Number of particles strictly below position j."""
-    count = sum(1 for p in m.particles_below if p < j)
-    if j > 0:
-        count += int(j - HALF) - sum(1 for h in m.holes_above if h < j)
-    return count
-
-
-def _with_particle_removed(m: Maya, j: Fraction) -> Maya:
-    if j < 0:
-        return Maya([p for p in m.particles_below if p != j], m.holes_above)
-    return Maya(m.particles_below, m.holes_above + (j,))
-
-
-def _with_particle_inserted(m: Maya, j: Fraction) -> Maya:
-    if j < 0:
-        return Maya(m.particles_below + (j,), m.holes_above)
-    return Maya(m.particles_below, [h for h in m.holes_above if h != j])
+def _trim(parts) -> tuple:
+    """Drop the zero parts of a weakly decreasing sequence."""
+    parts = tuple(parts)
+    return parts[: len(parts) - parts.count(0)]
 
 
 def psi(j, v: Vec) -> Vec:
-    """Delete the particle at position j; charge drops by one."""
-    j = maya._check_half_integer(j)
+    """Delete the particle at position j; charge drops by one.
+
+    On beads: remove the bead at b = j - 1/2. The k rows above it grow by
+    one and the rows below move up one place.
+    """
+    b = int(maya._check_half_integer(j) - HALF)
 
     def on_basis(label) -> Vec:
-        m = _maya_of(label)
-        if maya.evaluate(m, j) != 1:
+        c, lam = label
+        k, occupied = _bead_index(c, lam, b)
+        if not occupied:
             return Vec.zero()
-        sign = FERMION_SIGN ** _count_below(m, j)
-        return Vec({_label_of(_with_particle_removed(m, j)): sign})
+        mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
+        return Vec({(c - 1, mu): FERMION_SIGN ** k})
 
     return v.apply(on_basis)
 
 
 def psi_star(j, v: Vec) -> Vec:
-    """Insert a particle at position j; charge rises by one."""
-    j = maya._check_half_integer(j)
+    """Insert a particle at position j; charge rises by one.
+
+    On beads: fill the hole b = j - 1/2. The k rows above it shrink by one
+    and a new row k - c - 1 - b goes in at place k.
+    """
+    b = int(maya._check_half_integer(j) - HALF)
 
     def on_basis(label) -> Vec:
-        m = _maya_of(label)
-        if maya.evaluate(m, j) != -1:
+        c, lam = label
+        k, occupied = _bead_index(c, lam, b)
+        if occupied:
             return Vec.zero()
-        sign = FERMION_SIGN ** _count_below(m, j)
-        return Vec({_label_of(_with_particle_inserted(m, j)): sign})
+        mu = tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:]
+        return Vec({(c + 1, _trim(mu)): FERMION_SIGN ** k})
 
     return v.apply(on_basis)
 
 
 @lru_cache(maxsize=1 << 14)
-def _heis_on_shape(n: int, lam) -> dict:
-    """heis(n) on the charge-zero label of shape lam: hops p -> p + n.
+def _hop_on_shape(n: int, l: int, r: int, lam) -> dict:
+    """Move one bead of runner r by n*l on the beads {i - lam_i}.
 
-    The hop sign is the parity of the number of particles strictly between
-    the two positions, which is what the pair of fermion signs contracts to.
-    The result is charge independent, so it is cached by shape alone.
+    The runner holds the positions congruent to r mod l. The sign is
+    (-1)^(holes of the runner strictly between the two positions); on
+    stride 1 that is the particles-between sign times (-1)^(|n|-1). Every
+    position from len(lam) + |n|*l up is a bead, so only the beads below
+    it can move and only holes below it lie between.
     """
-    m = maya.from_partition(lam)
-    candidates = set(m.particles_below)
-    candidates.update(h - n for h in m.holes_above)
-    h = HALF
-    while h < -n:
-        candidates.add(h)
-        h += 1
-    out: dict = {}
-    for p in sorted(candidates):
-        q = p + n
-        if maya.evaluate(m, p) != 1 or maya.evaluate(m, q) != -1:
+    stride = n * l
+    top = len(lam) + abs(stride)
+    beads = [i - p for i, p in enumerate(lam)] + list(range(len(lam), top))
+    occupied = set(beads)
+    out = {}
+    for b in beads:
+        q = b + stride
+        if b % l != r or q >= top or q in occupied:
             continue
-        lo = p if n > 0 else q
-        between = sum(
-            1 for step in range(1, abs(n))
-            if maya.evaluate(m, lo + step) == 1
-        )
-        _, target = _label_of(
-            _with_particle_inserted(_with_particle_removed(m, p), q)
-        )
-        sign = (-1) ** between
-        out[target] = out.get(target, 0) + sign
-    return {shape: coeff for shape, coeff in out.items() if coeff}
+        lo = min(b, q)
+        holes = sum(1 for t in range(1, abs(n)) if lo + t * l not in occupied)
+        moved = sorted(occupied - {b} | {q})
+        out[_trim(i - x for i, x in enumerate(moved))] = -1 if holes % 2 else 1
+    return out
 
 
 def heis(n: int, v: Vec) -> Vec:
-    """Degree-n Heisenberg operator; n < 0 raises degree by -n."""
+    """Degree-n Heisenberg operator; n < 0 raises degree by -n.
+
+    It hops one bead by n with the particles-between sign (the
+    Murnaghan-Nakayama rule): the holes-between sign of the stride-1 bead
+    hop times (-1)^(|n|-1). The result is charge independent.
+    """
     n = int(n)
     if n == 0:
         raise ValueError("the degree-zero mode is excluded")
+    twist = 1 if n % 2 else -1
 
     def on_basis(label) -> Vec:
         c, lam = label
-        return Vec({(c, mu): coeff for mu, coeff in _heis_on_shape(n, lam).items()})
+        hops = _hop_on_shape(n, 1, 0, lam)
+        return Vec({(c, mu): twist * s for mu, s in hops.items()})
 
     return v.apply(on_basis)
 
@@ -258,8 +253,7 @@ def _horizontal_strips(lam, d: int, add: bool) -> list:
 
     def fill(i: int, left: int, prefix: tuple) -> None:
         if not left:
-            mu = prefix + rows[i:]
-            out.append(mu[: len(mu) - mu.count(0)])  # zeros only at the tail
+            out.append(_trim(prefix + rows[i:]))
         elif i < len(rows):
             for x in range(min(caps[i], left) + 1):
                 fill(i + 1, left - x, prefix + (rows[i] + step * x,))
@@ -283,7 +277,7 @@ def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     add = sign == 1
     if not inverse:
         return {mu: 1 for mu in _horizontal_strips(lam, d, add)}
-    coeff = (-1) ** d
+    coeff = -1 if d % 2 else 1
     return {
         transpose(mu): coeff
         for mu in _horizontal_strips(transpose(lam), d, add)
@@ -319,18 +313,18 @@ def fermion_field_coeff(kind: str, j, v: Vec, window=None) -> Vec:
     charge power of z, the charge shift, the Gminus part, then the Gplus
     part.
     """
-    j = maya._check_half_integer(j)
+    h = int(maya._check_half_integer(j) - HALF)  # j = h + 1/2
     if kind not in ("psi", "psi_star"):
         raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
     total: dict = {}
     for label, coeff in v.terms.items():
         c, lam = label
         if kind == "psi":
-            target = int(j - HALF) + c  # z^{-c} already extracted
+            target = h + c  # z^{-c} already extracted
             out_charge = c - 1
             plus_inverse, minus_inverse = True, False
         else:
-            target = int(-j - HALF) - c
+            target = -h - 1 - c
             out_charge = c + 1
             plus_inverse, minus_inverse = False, True
         shapes: dict = {}
@@ -390,13 +384,15 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     failures = []
     charges = range(-max_charge, max_charge + 1)
     reach = max_degree + max_charge + 2
-    modes = [Fraction(2 * k + 1, 2) for k in range(-reach, reach)]
+    modes = [HALF + k for k in range(-reach, reach)]
     for label in fock_labels(max_degree, charges):
         v = Vec.basis(label)
         c, lam = label
-        for j in modes:
-            for kind, direct_fn in (("psi", psi), ("psi_star", psi_star)):
-                shift = j - HALF + c if kind == "psi" else -j - HALF - c
+        for k, j in enumerate(modes, -reach):  # j = k + 1/2
+            for kind, direct_fn, shift in (
+                ("psi", psi, k + c),
+                ("psi_star", psi_star, -k - 1 - c),
+            ):
                 if sum(lam) + shift > max_degree:
                     continue  # image leaves the degree window
                 direct = direct_fn(j, v)
@@ -435,7 +431,7 @@ def operator_matrix(apply_fn, source_labels, sort_key):
     """Sparse matrix of a linear map on an ordered list of basis labels.
 
     Returns (rows, cols, entries) where entries maps (row_index, col_index)
-    to a nonzero Fraction, cols is the given source order, and rows are the
+    to a nonzero coefficient, cols is the given source order, and rows are the
     output labels in sort_key order.
     """
     cols = list(source_labels)

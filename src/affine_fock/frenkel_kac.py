@@ -40,7 +40,6 @@ from .maya import HALF
 from .partitions import (
     addable_of_residue,
     add_node,
-    as_partition,
     check_residue,
     eta,
     partitions_up_to,
@@ -173,20 +172,13 @@ def transport_inverse(v: Vec, l: int) -> Vec:
 
 # ------------------------------------------------- strand Heisenberg part
 
-def _twisted_heis_on_shape(n: int, lam) -> dict:
-    """Strand boson mode n on one shape: strip expansion, hole-count signs.
-
-    Equals the plain expansion times (-1)^(|n|-1), which is the plain mode
-    conjugated by shape transposition.
-    """
-    plain = fock._heis_on_shape(n, lam)
-    if abs(n) % 2:
-        return plain
-    return {mu: -coeff for mu, coeff in plain.items()}
-
-
 def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
-    """Strand boson mode n acting on quotient component k_index."""
+    """Strand boson mode n acting on quotient component k_index.
+
+    It is the bead hop by n with the holes-between sign: the plain mode
+    times (-1)^(|n|-1), which is the plain mode conjugated by shape
+    transposition.
+    """
     n = int(n)
     if n == 0:
         raise ValueError("the degree-zero mode is excluded")
@@ -194,7 +186,7 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
     def on_basis(label) -> Vec:
         beta, mus = label
         out = {}
-        for mu, coeff in _twisted_heis_on_shape(n, mus[k_index]).items():
+        for mu, coeff in fock._hop_on_shape(n, 1, 0, mus[k_index]).items():
             new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
             out[(beta, new)] = coeff
         return Vec(out)
@@ -207,7 +199,7 @@ def _twisted_gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     """Half-vertex coefficient built from the twisted strand boson.
 
     Conjugating the plain half-vertex by shape transposition twists every
-    mode consistently with _twisted_heis_on_shape.
+    mode consistently with heis_tensor.
     """
     flipped = fock._gamma_on_shape(sign, d, inverse, transpose(lam))
     return {transpose(mu): coeff for mu, coeff in flipped.items()}
@@ -453,10 +445,10 @@ def explicit_e(i: int, v: Vec, l: int) -> Vec:
 
     def on_basis(lam) -> Vec:
         counts = residue_counts(lam, l)
-        prefactor = -((-1) ** (counts[(i - 1) % l] + counts[i]))
+        prefactor = 1 if (counts[(i - 1) % l] + counts[i]) % 2 else -1
         out = {}
         for node in removable_of_residue(lam, i, l):
-            sign = (-1) ** eta(lam, i, node, l, ETA_SCAN_SIDE)
+            sign = -1 if eta(lam, i, node, l, ETA_SCAN_SIDE) % 2 else 1
             out[remove_node(lam, node)] = prefactor * sign
         return Vec(out)
 
@@ -470,10 +462,10 @@ def explicit_f(i: int, v: Vec, l: int) -> Vec:
 
     def on_basis(lam) -> Vec:
         counts = residue_counts(lam, l)
-        prefactor = (-1) ** (counts[(i - 1) % l] + counts[i])
+        prefactor = -1 if (counts[(i - 1) % l] + counts[i]) % 2 else 1
         out = {}
         for node in addable_of_residue(lam, i, l):
-            sign = (-1) ** eta(lam, i, node, l, ETA_SCAN_SIDE)
+            sign = -1 if eta(lam, i, node, l, ETA_SCAN_SIDE) % 2 else 1
             out[add_node(lam, node)] = prefactor * sign
         return Vec(out)
 
@@ -493,62 +485,21 @@ def explicit_h(i: int, v: Vec, l: int) -> Vec:
     return v.apply(on_basis)
 
 
-@lru_cache(maxsize=1 << 14)
-def _strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
-    """Single-strand boson read directly off the global diagram.
-
-    Hops every particle at a position congruent to k mod l down the strand
-    by n steps (n*l global steps), with the sign counting holes of the
-    same congruence class strictly between. Hole counting (rather than
-    particle counting) matches the twisted strand boson on the vertex side.
-    """
-    m = maya.from_partition(lam)
-    stride = n * l
-    candidates = set()
-    for p in m.particles_below:
-        if (p - k) % l == 0:
-            candidates.add(p)
-    for h in m.holes_above:
-        if (h - k) % l == 0:
-            candidates.add(h - stride)
-    h = k  # positive sea particles that would land below zero
-    while h < -stride:
-        candidates.add(h)
-        h += l
-    out: dict = {}
-    for p in sorted(candidates):
-        q = p + stride
-        if p == 0 or q == 0 or maya.evaluate(m, p) != 1 or maya.evaluate(m, q) != -1:
-            continue
-        lo = p if stride > 0 else q
-        between = sum(
-            1
-            for step in range(1, abs(n))
-            if maya.evaluate(m, lo + step * l) == -1
-        )
-        _, target = maya.to_charge_partition(
-            fock._with_particle_inserted(fock._with_particle_removed(m, p), q)
-        )
-        sign = (-1) ** between
-        out[target] = out.get(target, 0) + sign
-    return {shape: coeff for shape, coeff in out.items() if coeff}
-
-
 def explicit_p(i: int, mode: int, v: Vec, l: int) -> Vec:
-    """Loop Heisenberg on partitions by direct strand hopping."""
+    """Loop Heisenberg on partitions by direct strand hopping.
+
+    The strands i - 1/2 and i + 1/2 are the abacus runners (i - 1) mod l
+    and i; a strand mode hops one bead by mode*l along its runner.
+    """
     i = check_residue(i, l)
     if mode == 0:
         raise ValueError("the degree-zero mode is excluded")
-    if i == 0:
-        first, second = l - HALF, HALF
-    else:
-        first, second = i - HALF, i + HALF
 
     def on_basis(lam) -> Vec:
         out: dict = {}
-        for shape, coeff in _strand_hop_on_shape(first, mode, lam, l).items():
+        for shape, coeff in fock._hop_on_shape(mode, l, (i - 1) % l, lam).items():
             out[shape] = out.get(shape, 0) + coeff
-        for shape, coeff in _strand_hop_on_shape(second, mode, lam, l).items():
+        for shape, coeff in fock._hop_on_shape(mode, l, i, lam).items():
             out[shape] = out.get(shape, 0) - coeff
         return Vec(out)
 
@@ -674,7 +625,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             + (f"e_{j}",)
                             + (f"e_{i}",) * k
                         )
-                        sign = (-1) ** k
+                        sign = -1 if k % 2 else 1
                         coeff = sign * factorial(power) // (
                             factorial(k) * factorial(power - k)
                         )
@@ -689,7 +640,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
                                 + (f"f_{j}",)
                                 + (f"f_{i}",) * k
                             )
-                            sign = (-1) ** k
+                            sign = -1 if k % 2 else 1
                             coeff = sign * factorial(power) // (
                                 factorial(k) * factorial(power - k)
                             )

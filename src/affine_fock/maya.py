@@ -67,19 +67,6 @@ class Maya:
         ha = ",".join(str(h) for h in self.holes_above)
         return f"Maya(particles_below=[{pb}], holes_above=[{ha}])"
 
-    def to_json(self) -> dict:
-        return {
-            "particles_below": [int(2 * h) for h in self.particles_below],
-            "holes_above": [int(2 * h) for h in self.holes_above],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Maya":
-        return cls(
-            [Fraction(v, 2) for v in data["particles_below"]],
-            [Fraction(v, 2) for v in data["holes_above"]],
-        )
-
 
 def evaluate(m: Maya, h) -> int:
     """Value of the diagram at a half-integer position: +1 or -1."""

@@ -96,8 +96,8 @@ def test_gamma_frozen_coefficients():
 def exponential_kernel(sign, d, inverse, lam):
     """Oracle for fock._gamma_on_shape: the z^(sign*d) coefficient of
     exp(+-sum_m z^(sign*m) heis(-sign*m)/m), expanded over partitions nu of
-    d with weights 1/z_nu and one heis hop per part."""
-    total = {}
+    d with weights 1/z_nu and one heis per part."""
+    total = Vec.zero()
     for nu in enumerate_partitions(d):
         coeff = Fraction(1)
         for part in set(nu):
@@ -105,16 +105,11 @@ def exponential_kernel(sign, d, inverse, lam):
             coeff /= part**k * factorial(k)
         if inverse and len(nu) % 2:
             coeff = -coeff
-        layer = {lam: coeff}
+        layer = Vec({(0, lam): coeff})
         for part in nu:
-            nxt = {}
-            for shape, c0 in layer.items():
-                for mu, c1 in fock._heis_on_shape(-sign * part, shape).items():
-                    nxt[mu] = nxt.get(mu, 0) + c0 * c1
-            layer = nxt
-        for shape, c0 in layer.items():
-            total[shape] = total.get(shape, 0) + c0
-    return {shape: coeff for shape, coeff in total.items() if coeff}
+            layer = heis(-sign * part, layer)
+        total = total + layer
+    return {shape: coeff for (_, shape), coeff in total.terms.items()}
 
 
 def test_strip_kernel_matches_exponential_expansion():

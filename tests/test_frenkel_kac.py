@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from affine_fock import fock
 from affine_fock import frenkel_kac as fk
 from affine_fock.fock import Vec
 from affine_fock.partitions import enumerate_partitions, partitions_up_to
@@ -137,7 +138,7 @@ def alpha_mode(alpha, n, shapes):
     """alpha(n) = sum_k alpha_k times the twisted strand boson on shape k."""
     out = {}
     for k, weight in enumerate(alpha):
-        for mu, coeff in fk._twisted_heis_on_shape(n, shapes[k]).items():
+        for mu, coeff in fock._hop_on_shape(n, 1, 0, shapes[k]).items():
             new = shapes[:k] + (mu,) + shapes[k + 1 :]
             out[new] = out.get(new, 0) + weight * coeff
     return out
