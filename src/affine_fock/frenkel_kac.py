@@ -3,7 +3,12 @@
 Explicit route: the Chevalley generators act on the partition basis b_lam by
 adding or removing nodes of a fixed content class mod l, with signs read off
 the diagram boundary (a global prefactor from residue counts and a local
-sign counting boundary nodes of the same class at smaller content).
+sign counting boundary nodes of the same class at smaller content). One
+pass over the rows of lam (partitions.residue_boundary) yields all of it:
+the parity of the residue counts at i - 1 and i, and the residue-i
+addable and removable nodes in content order with their prefix counts, in
+O(rows) per shape. verify_relations computes each generator's image of
+each shape once per call.
 
 Vertex route: partitions transport through the l-core/l-quotient bijection
 to the lattice Fock space C[Q] x B^l, where Q is the sum-zero sublattice of
@@ -38,14 +43,11 @@ from . import core_quotient, fock, maya
 from .fock import DegreeOverflowError, Vec
 from .maya import HALF
 from .partitions import (
-    addable_of_residue,
     add_node,
     check_residue,
-    eta,
     partitions_up_to,
     remove_node,
-    removable_of_residue,
-    residue_counts,
+    residue_boundary,
     transpose,
 )
 
@@ -435,41 +437,42 @@ def fk_action(g: str, v: Vec, l: int, window=None) -> Vec:
 
 # ------------------------------------------------------- explicit action
 
-def explicit_e(i: int, v: Vec, l: int) -> Vec:
-    """Remove one node of content class i, with boundary-scan signs.
+def _explicit_on_shape(step: int, i: int, lam, l: int) -> Vec:
+    """e_i (step -1) or f_i (step +1) on b_lam, from one boundary scan.
 
-    The prefactor is minus the f prefactor; with the smaller-content scan
-    this is what makes [e_i, f_i] = h_i close on every shape.
+    Each residue-i node of the given step is removed or added. The
+    prefactor is (-1)^(counts[i-1] + counts[i]) for f and its negative for
+    e; with the smaller-content scan this is what makes [e_i, f_i] = h_i
+    close on every shape. The local sign is (-1)^eta, eta the signed count
+    of residue-i boundary nodes on the ETA_SCAN_SIDE of the node, read off
+    the diagram before the change.
     """
+    if ETA_SCAN_SIDE not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
+    odd, boundary = residue_boundary(lam, i, l)
+    total = sum(s for _, s, _ in boundary)
+    prefactor = -step if odd else step
+    out = {}
+    for node, s, left in boundary:
+        if s != step:
+            continue
+        scan = left if ETA_SCAN_SIDE == "left" else total - left - step
+        shape = add_node(lam, node) if step > 0 else remove_node(lam, node)
+        out[shape] = -prefactor if scan % 2 else prefactor
+    return Vec(out)
+
+
+def explicit_e(i: int, v: Vec, l: int) -> Vec:
+    """Remove one node of content class i, with boundary-scan signs."""
     i = check_residue(i, l)
-
-    def on_basis(lam) -> Vec:
-        counts = residue_counts(lam, l)
-        prefactor = 1 if (counts[(i - 1) % l] + counts[i]) % 2 else -1
-        out = {}
-        for node in removable_of_residue(lam, i, l):
-            sign = -1 if eta(lam, i, node, l, ETA_SCAN_SIDE) % 2 else 1
-            out[remove_node(lam, node)] = prefactor * sign
-        return Vec(out)
-
-    return v.apply(on_basis)
+    return v.apply(lambda lam: _explicit_on_shape(-1, i, lam, l))
 
 
 def explicit_f(i: int, v: Vec, l: int) -> Vec:
     """Add one node of content class i; signs read off the diagram before
     the addition."""
     i = check_residue(i, l)
-
-    def on_basis(lam) -> Vec:
-        counts = residue_counts(lam, l)
-        prefactor = -1 if (counts[(i - 1) % l] + counts[i]) % 2 else 1
-        out = {}
-        for node in addable_of_residue(lam, i, l):
-            sign = -1 if eta(lam, i, node, l, ETA_SCAN_SIDE) % 2 else 1
-            out[add_node(lam, node)] = prefactor * sign
-        return Vec(out)
-
-    return v.apply(on_basis)
+    return v.apply(lambda lam: _explicit_on_shape(1, i, lam, l))
 
 
 def explicit_h(i: int, v: Vec, l: int) -> Vec:
@@ -477,9 +480,7 @@ def explicit_h(i: int, v: Vec, l: int) -> Vec:
     i = check_residue(i, l)
 
     def on_basis(lam) -> Vec:
-        value = len(addable_of_residue(lam, i, l)) - len(
-            removable_of_residue(lam, i, l)
-        )
+        value = sum(s for _, s, _ in residue_boundary(lam, i, l)[1])
         return Vec({lam: value}) if value else Vec.zero()
 
     return v.apply(on_basis)
@@ -564,19 +565,33 @@ def verify_intertwining(l: int, max_degree: int, generators=None) -> dict:
     }
 
 
-def _apply_word(word, v: Vec, l: int) -> Vec:
-    """Apply generator names right to left, the composition order."""
-    for g in reversed(word):
-        v = explicit_action(g, v, l)
-        if not v:
-            break
-    return v
-
-
 def verify_relations(l: int, max_degree: int) -> dict:
-    """Chevalley-Serre relations on graded slices of the partition basis."""
+    """Chevalley-Serre relations on graded slices of the partition basis.
+
+    Each generator's image of each shape is computed once per call and
+    kept in a dict local to the call, so a patched sign convention is seen
+    by the next call. Failures are listed smallest shape first.
+    """
     failures = []
     cartan = cartan_matrix(l)
+    images: dict = {}
+
+    def image(g: str, lam) -> Vec:
+        out = images.get((g, lam))
+        if out is None:
+            out = images[(g, lam)] = explicit_action(g, Vec.basis(lam), l)
+        return out
+
+    def apply_word(word, v: Vec) -> Vec:
+        """Apply generator names right to left, the composition order."""
+        for g in reversed(word):
+            v = v.apply(lambda lam: image(g, lam))
+            if not v:
+                break
+        return v
+
+    def bracket(x: str, y: str, v: Vec) -> Vec:
+        return apply_word((x, y), v) - apply_word((y, x), v)
 
     def record(name, lam, lhs, rhs):
         failures.append(
@@ -595,25 +610,17 @@ def verify_relations(l: int, max_degree: int) -> dict:
                 v = Vec.basis(lam)
                 room = max_degree - sum(lam)
                 # [h_i, e_j] = A_ij e_j needs no headroom (e lowers degree)
-                lhs = _apply_word((f"h_{i}", f"e_{j}"), v, l) - _apply_word(
-                    (f"e_{j}", f"h_{i}"), v, l
-                )
-                rhs = cartan[i][j] * explicit_action(f"e_{j}", v, l)
+                lhs = bracket(f"h_{i}", f"e_{j}", v)
+                rhs = cartan[i][j] * image(f"e_{j}", lam)
                 if lhs != rhs:
                     record(f"[h_{i},e_{j}]", lam, lhs, rhs)
                 if room >= 1:
-                    lhs = _apply_word((f"h_{i}", f"f_{j}"), v, l) - _apply_word(
-                        (f"f_{j}", f"h_{i}"), v, l
-                    )
-                    rhs = -cartan[i][j] * explicit_action(f"f_{j}", v, l)
+                    lhs = bracket(f"h_{i}", f"f_{j}", v)
+                    rhs = -cartan[i][j] * image(f"f_{j}", lam)
                     if lhs != rhs:
                         record(f"[h_{i},f_{j}]", lam, lhs, rhs)
-                    lhs = _apply_word((f"e_{i}", f"f_{j}"), v, l) - _apply_word(
-                        (f"f_{j}", f"e_{i}"), v, l
-                    )
-                    rhs = (
-                        explicit_action(f"h_{i}", v, l) if i == j else Vec.zero()
-                    )
+                    lhs = bracket(f"e_{i}", f"f_{j}", v)
+                    rhs = image(f"h_{i}", lam) if i == j else Vec.zero()
                     if lhs != rhs:
                         record(f"[e_{i},f_{j}]", lam, lhs, rhs)
                 if i != j:
@@ -629,7 +636,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
                         coeff = sign * factorial(power) // (
                             factorial(k) * factorial(power - k)
                         )
-                        lhs = lhs + coeff * _apply_word(word, v, l)
+                        lhs = lhs + coeff * apply_word(word, v)
                     if lhs:
                         record(f"serre e_{i},e_{j}", lam, lhs, Vec.zero())
                     if room >= power + 1:
@@ -644,9 +651,11 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             coeff = sign * factorial(power) // (
                                 factorial(k) * factorial(power - k)
                             )
-                            lhs = lhs + coeff * _apply_word(word, v, l)
+                            lhs = lhs + coeff * apply_word(word, v)
                         if lhs:
                             record(f"serre f_{i},f_{j}", lam, lhs, Vec.zero())
+    # stable: within one shape, failures keep the (i, j) loop order
+    failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
     return {
         "status": "ok" if not failures else "mismatch",
         "l": l,

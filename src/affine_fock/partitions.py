@@ -215,21 +215,45 @@ def removable_nodes(lam: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def boundary_nodes(
-    lam: tuple[int, ...], l: int | None = None, i: int | None = None
-) -> list[tuple[tuple[int, int], str]]:
-    """Addable and removable nodes sorted by increasing content.
+def residue_boundary(
+    lam: tuple[int, ...], i: int, l: int
+) -> tuple[int, list[tuple[tuple[int, int], int, int]]]:
+    """One pass over the rows: the residue-i boundary and a count parity.
 
-    With l and i given, keeps only nodes whose content is congruent to
-    i mod l.
+    Returns (odd, boundary). odd is the parity of residue_counts(lam, l) at
+    i - 1 and i together, counted per row: row a holds the contents
+    a - lam[a] + 1 .. a, a run whose members in one class mod l are a
+    difference of floor quotients. boundary lists the addable (step +1)
+    and removable (step -1) nodes of content congruent to i mod l, in
+    increasing content, each as (node, step, left) with left the sum of the
+    steps before it: eta(lam, i, node, l, "left"). The "right" scan is
+    total - left - step, total being the sum of all steps.
+
+    Walking the rows down, row a offers its addable node (a, lam[a]) at
+    content a - lam[a] when lam[a] < lam[a - 1] and its removable node
+    (a, lam[a] - 1) one content higher when lam[a + 1] < lam[a]; the
+    addable node (len(lam), 0) closes the boundary. Contents strictly
+    increase along this walk, so no sort is needed.
     """
-    tagged = [(x, "addable") for x in addable_nodes(lam)]
-    tagged += [(x, "removable") for x in removable_nodes(lam)]
-    if l is not None:
-        if i is None:
-            raise ValueError("residue i is required when l is given")
-        tagged = [t for t in tagged if content(t[0]) % l == i % l]
-    return sorted(tagged, key=lambda t: content(t[0]))
+    if l < 1:
+        raise ValueError("modulus must be positive")
+    i %= l
+    j = (i - 1) % l
+    count = 0
+    boundary = []
+    left = 0
+    for a, row in enumerate(lam):
+        lo = a - row  # one below the smallest content in row a
+        count += (a - i) // l - (lo - i) // l + (a - j) // l - (lo - j) // l
+        if (a == 0 or row < lam[a - 1]) and lo % l == i:
+            boundary.append(((a, row), 1, left))
+            left += 1
+        if (a + 1 == len(lam) or lam[a + 1] < row) and (lo + 1) % l == i:
+            boundary.append(((a, row - 1), -1, left))
+            left -= 1
+    if len(lam) % l == i:
+        boundary.append(((len(lam), 0), 1, left))
+    return count % 2, boundary
 
 
 def addable_of_residue(lam, i: int, l: int) -> list[tuple[int, int]]:

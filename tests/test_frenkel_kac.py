@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -9,6 +10,7 @@ from hypothesis import given
 
 from affine_fock import fock
 from affine_fock import frenkel_kac as fk
+from affine_fock import partitions as pt
 from affine_fock.fock import Vec
 from affine_fock.partitions import enumerate_partitions, partitions_up_to
 from conftest import partitions
@@ -194,13 +196,11 @@ def test_strand_kernel_matches_power_sum_exponential(l):
 
 
 def test_h_is_diagonal_with_node_counts():
-    from affine_fock.partitions import addable_of_residue, removable_of_residue
-
-    for l in (2, 3):
-        for lam in ((), (1,), (2, 1), (3, 1, 1)):
+    for l in (2, 3, 4, 5):
+        for lam in partitions_up_to(12):
             for i in range(l):
-                want = len(addable_of_residue(lam, i, l)) - len(
-                    removable_of_residue(lam, i, l)
+                want = len(pt.addable_of_residue(lam, i, l)) - len(
+                    pt.removable_of_residue(lam, i, l)
                 )
                 assert fk.explicit_h(i, Vec.basis(lam), l) == want * Vec.basis(lam)
 
@@ -227,3 +227,97 @@ def test_relations_suite_small():
     assert report["failures"] == []
     with pytest.raises(ValueError):
         fk.verify_relations(2, -1)
+
+
+def node_walk_action(step, i, lam, l, side):
+    """e_i (step -1) or f_i (step +1) on b_lam from the node-walking
+    helpers: the explicit route as it was before the one-pass scan."""
+    counts = pt.residue_counts(lam, l)
+    odd = (counts[(i - 1) % l] + counts[i]) % 2
+    prefactor = -step if odd else step
+    if step > 0:
+        moves = [(x, pt.add_node(lam, x)) for x in pt.addable_of_residue(lam, i, l)]
+    else:
+        moves = [
+            (x, pt.remove_node(lam, x)) for x in pt.removable_of_residue(lam, i, l)
+        ]
+    out = {}
+    for x, shape in moves:
+        sign = -1 if pt.eta(lam, i, x, l, side) % 2 else 1
+        out[shape] = prefactor * sign
+    return Vec(out)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_explicit_scan_matches_node_walk(monkeypatch, side):
+    monkeypatch.setattr(fk, "ETA_SCAN_SIDE", side)
+    for l in (2, 3, 4, 5):
+        for lam in partitions_up_to(10):
+            b = Vec.basis(lam)
+            for i in range(l):
+                assert fk.explicit_e(i, b, l) == node_walk_action(-1, i, lam, l, side)
+                assert fk.explicit_f(i, b, l) == node_walk_action(1, i, lam, l, side)
+
+
+@pytest.mark.parametrize("l, want", [(2, 628), (3, 1413)])
+def test_relations_witness_one_eq_per_commutator(monkeypatch, l, want):
+    """The image memo leaves one Vec.__eq__ per commutator check: [h,e] on
+    every shape, [h,f] and [e,f] on those with room to grow, per (i, j)."""
+    calls = []
+    plain_eq = Vec.__eq__
+
+    def counting_eq(self, other):
+        calls.append(1)
+        return plain_eq(self, other)
+
+    monkeypatch.setattr(Vec, "__eq__", counting_eq)
+    assert fk.verify_relations(l, 8)["status"] == "ok"
+    checks = len(partitions_up_to(8)) + 2 * len(partitions_up_to(7))
+    assert len(calls) == want == l * l * checks
+
+
+def test_relations_images_do_not_outlive_the_call(monkeypatch):
+    # each image is computed once per call, and again by the next call
+    images = []
+    plain = fk.explicit_action
+
+    def recording(g, v, l):
+        images.append((g, tuple(v.terms)))
+        return plain(g, v, l)
+
+    monkeypatch.setattr(fk, "explicit_action", recording)
+    assert fk.verify_relations(3, 6)["status"] == "ok"
+    first = len(images)
+    assert first == len(set(images)) > 0
+    assert fk.verify_relations(3, 6)["status"] == "ok"
+    assert images[first:] == images[:first]
+    b = Vec.basis((2, 1))
+    before = fk.explicit_action("e_1", b, 3)
+    monkeypatch.setattr(fk, "ETA_SCAN_SIDE", "right")
+    assert fk.explicit_action("e_1", b, 3) == -before
+    assert fk.verify_intertwining(2, 4)["status"] == "mismatch"
+
+
+def test_relations_failures_smallest_shape_first(monkeypatch):
+    # h_0 broken on shapes of size 4 fails in the i = 0 sweep, h_1 broken
+    # on size 1 only in the later i = 1 sweep, yet its shapes come first
+    plain = fk.explicit_action
+
+    def broken(g, v, l):
+        out = plain(g, v, l)
+        (lam,) = v.terms
+        return -out if (g, sum(lam)) in (("h_0", 4), ("h_1", 1)) else out
+
+    monkeypatch.setattr(fk, "explicit_action", broken)
+    failures = fk.verify_relations(2, 5)["failures"]
+    keys = [fk.shape_sort_key(f["lambda"]["partition"]) for f in failures]
+    assert keys == sorted(keys)
+    assert failures[0]["generator"] == "[h_1,f_0]"
+    assert failures[0]["lambda"] == {"partition": []}
+    assert any(f["generator"].startswith("[h_0,") for f in failures)
+    assert {k[0] for k in keys} >= {0, 4}
+    for a, b in zip(failures, failures[1:]):
+        if a["lambda"] == b["lambda"]:
+            ij_a = [int(n) for n in re.findall(r"\d+", a["generator"])]
+            ij_b = [int(n) for n in re.findall(r"\d+", b["generator"])]
+            assert ij_a <= ij_b

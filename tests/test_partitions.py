@@ -77,15 +77,57 @@ def test_one_more_addable_than_removable(lam):
 
 @given(partitions(), levels)
 def test_boundary_nodes_merge(lam, l):
-    merged = pt.boundary_nodes(lam)
-    assert sorted(x for x, tag in merged if tag == "addable") == sorted(
+    # at l = 1 the residue-0 boundary is the whole boundary
+    _, merged = pt.residue_boundary(lam, 0, 1)
+    assert sorted(x for x, step, _ in merged if step == 1) == sorted(
         pt.addable_nodes(lam)
     )
-    contents = [pt.content(x) for x, _ in merged]
+    assert sorted(x for x, step, _ in merged if step == -1) == sorted(
+        pt.removable_nodes(lam)
+    )
+    contents = [pt.content(x) for x, _, _ in merged]
     assert contents == sorted(contents)
+    split = []
     for i in range(l):
-        chosen = pt.boundary_nodes(lam, l, i)
-        assert all(pt.content(x) % l == i for x, _ in chosen)
+        _, chosen = pt.residue_boundary(lam, i, l)
+        assert all(pt.content(x) % l == i for x, _, _ in chosen)
+        split += [(x, step) for x, step, _ in chosen]
+    assert sorted(split) == sorted((x, step) for x, step, _ in merged)
+
+
+def test_residue_boundary_frozen():
+    # (2,1) at l=2: residue-1 removables at contents -1 and 1, and three
+    # nodes of residues 0 and 1 together
+    assert pt.residue_boundary((2, 1), 1, 2) == (
+        1,
+        [((0, 1), -1, 0), ((1, 0), -1, -1)],
+    )
+    assert pt.residue_boundary((), 0, 3) == (0, [((0, 0), 1, 0)])
+    assert pt.residue_boundary((), 1, 3) == (0, [])
+    with pytest.raises(ValueError):
+        pt.residue_boundary((1,), 0, 0)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_residue_boundary_matches_node_walk(l):
+    """The one-pass scan against the node-walking helpers it replaced on the
+    explicit route, which stay as its oracle: every |lam| <= 12, every i."""
+    for lam in pt.partitions_up_to(12):
+        counts = pt.residue_counts(lam, l)
+        for i in range(l):
+            odd, boundary = pt.residue_boundary(lam, i, l)
+            assert odd == (counts[(i - 1) % l] + counts[i]) % 2
+            addable = pt.addable_of_residue(lam, i, l)
+            removable = pt.removable_of_residue(lam, i, l)
+            assert [x for x, step, _ in boundary if step == 1] == addable
+            assert [x for x, step, _ in boundary if step == -1] == removable
+            contents = [pt.content(x) for x, _, _ in boundary]
+            assert contents == sorted(set(contents))
+            total = sum(step for _, step, _ in boundary)
+            assert total == len(addable) - len(removable)
+            for x, step, left in boundary:
+                assert left == pt.eta(lam, i, x, l, "left")
+                assert total - left - step == pt.eta(lam, i, x, l, "right")
 
 
 @given(partitions())
