@@ -437,26 +437,31 @@ def fk_action(g: str, v: Vec, l: int, window=None) -> Vec:
 
 # ------------------------------------------------------- explicit action
 
-def _explicit_on_shape(step: int, i: int, lam, l: int) -> Vec:
+def _scan_right() -> bool:
+    """Whether eta counts to the right of the node (ETA_SCAN_SIDE)."""
+    if ETA_SCAN_SIDE not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
+    return ETA_SCAN_SIDE == "right"
+
+
+def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool) -> Vec:
     """e_i (step -1) or f_i (step +1) on b_lam, from one boundary scan.
 
     Each residue-i node of the given step is removed or added. The
     prefactor is (-1)^(counts[i-1] + counts[i]) for f and its negative for
     e; with the smaller-content scan this is what makes [e_i, f_i] = h_i
     close on every shape. The local sign is (-1)^eta, eta the signed count
-    of residue-i boundary nodes on the ETA_SCAN_SIDE of the node, read off
-    the diagram before the change.
+    of residue-i boundary nodes to the left (or, if `right`, the right) of
+    the node, read off the diagram before the change.
     """
-    if ETA_SCAN_SIDE not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
     odd, boundary = residue_boundary(lam, i, l)
-    total = sum(s for _, s, _ in boundary)
+    total = sum(s for _, s, _ in boundary) if right else 0
     prefactor = -step if odd else step
     out = {}
     for node, s, left in boundary:
         if s != step:
             continue
-        scan = left if ETA_SCAN_SIDE == "left" else total - left - step
+        scan = total - left - step if right else left
         shape = add_node(lam, node) if step > 0 else remove_node(lam, node)
         out[shape] = -prefactor if scan % 2 else prefactor
     return Vec(out)
@@ -464,15 +469,15 @@ def _explicit_on_shape(step: int, i: int, lam, l: int) -> Vec:
 
 def explicit_e(i: int, v: Vec, l: int) -> Vec:
     """Remove one node of content class i, with boundary-scan signs."""
-    i = check_residue(i, l)
-    return v.apply(lambda lam: _explicit_on_shape(-1, i, lam, l))
+    i, right = check_residue(i, l), _scan_right()
+    return v.apply(lambda lam: _explicit_on_shape(-1, i, lam, l, right))
 
 
 def explicit_f(i: int, v: Vec, l: int) -> Vec:
     """Add one node of content class i; signs read off the diagram before
     the addition."""
-    i = check_residue(i, l)
-    return v.apply(lambda lam: _explicit_on_shape(1, i, lam, l))
+    i, right = check_residue(i, l), _scan_right()
+    return v.apply(lambda lam: _explicit_on_shape(1, i, lam, l, right))
 
 
 def explicit_h(i: int, v: Vec, l: int) -> Vec:

@@ -1,6 +1,4 @@
 import importlib.util
-import subprocess
-import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
@@ -34,16 +32,8 @@ def test_failing_suite_has_no_frontier(monkeypatch):
     assert got == (None, None, 4, "exit 1 after 0.2 s")
 
 
-def test_script_runs_the_real_cli():
+def test_real_cli_ends_the_climb():
     # the CLI rejects l = 1 with exit 2, which ends the climb at once
-    out = subprocess.run(
-        [sys.executable, "-B", str(SCRIPT), "--suites", "relations", "--l", "1",
-         "--start", "0"],
-        capture_output=True, text=True, check=True,
-    ).stdout.splitlines()
-    assert out[0] == "| suite (l=1) | frontier at 10 s | next degree |"
-    assert out[-1].startswith("| relations | below d = 0 | d = 0: exit 2 after ")
-    bad = subprocess.run(
-        [sys.executable, "-B", str(SCRIPT), "--suites", "nope"], capture_output=True
-    )
-    assert bad.returncode == 2
+    best, best_s, nxt, outcome = load_frontier().frontier("relations", 1, 10.0, 0)
+    assert (best, best_s, nxt) == (None, None, 0)
+    assert outcome.startswith("exit 2 after ")

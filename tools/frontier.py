@@ -1,18 +1,17 @@
-"""Degree frontier: the largest degree each verify suite finishes within a budget.
+"""Degree frontier: the largest degree each verify suite finishes within 10 s.
 
 For each suite it runs
 
-    python -m affine_fock verify --suite S --l L --degree D
+    python -m affine_fock verify --suite S --l 3 --degree D
 
-in a fresh interpreter for D = start, start + 1, ..., timing the whole
-process, and stops at the first degree that outlives the budget (the run is
-killed then) or exits nonzero. The frontier is the last degree that finished
-with exit 0 inside the budget; degrees below --start are taken to be
-cheaper. The source tree is the one this script sits in (its
-`src/` goes first on PYTHONPATH), so nothing needs to be installed.
+in a fresh interpreter for D = 6, 7, ..., timing the whole process, and
+stops at the first degree that outlives the 10 s budget (the run is killed
+then) or exits nonzero. The frontier is the last degree that finished with
+exit 0 inside the budget; degrees below 6 are taken to be cheaper. The
+source tree is the one this script sits in (its `src/` goes first on
+PYTHONPATH), so nothing needs to be installed.
 
-    python3 tools/frontier.py                       # all five suites, l=3, 10 s
-    python3 tools/frontier.py --suites relations --budget 5 --start 12
+    python3 tools/frontier.py
 
 Prints one Markdown table row per suite: the frontier degree and its wall
 time, and what happened at the next degree. Standard library only.
@@ -20,7 +19,6 @@ time, and what happened at the next degree. Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import subprocess
 import sys
@@ -62,25 +60,12 @@ def frontier(suite: str, l: int, budget: float, start: int):
         best, best_s, degree = degree, seconds, degree + 1
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--l", type=int, default=3)
-    p.add_argument("--budget", type=float, default=10.0, help="seconds per run")
-    p.add_argument("--start", type=int, default=6, help="first degree to run")
-    p.add_argument("--suites", default=",".join(SUITES),
-                   help="comma-separated suite names")
-    args = p.parse_args(argv)
-    if args.budget <= 0 or args.start < 0:
-        p.error("need a positive budget and a nonnegative start")
-    suites = [s for s in args.suites.split(",") if s]
-    unknown = [s for s in suites if s not in SUITES]
-    if unknown:
-        p.error(f"unknown suite(s): {', '.join(unknown)}")
-
-    print(f"| suite (l={args.l}) | frontier at {args.budget:g} s | next degree |")
+def main() -> int:
+    l, budget, start = 3, 10.0, 6
+    print(f"| suite (l={l}) | frontier at {budget:g} s | next degree |")
     print("|---|---|---|")
-    for suite in suites:
-        best, best_s, nxt, outcome = frontier(suite, args.l, args.budget, args.start)
+    for suite in SUITES:
+        best, best_s, nxt, outcome = frontier(suite, l, budget, start)
         if best is None:
             found = f"below d = {nxt}"
         else:
