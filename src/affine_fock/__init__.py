@@ -4,8 +4,10 @@ Two independent realizations of the same generator action on partition
 basis vectors: an explicit boundary-node formula, and a lattice vertex
 operator construction transported through the core/quotient bijection.
 Everything is exact: the actions have integer coefficients and only the
-localization weights are Fractions. The verify_* suites check the
-realizations against each other and against localization weights.
+localization weights are Fractions. One sparse type, Vec, holds every
+vector; LaurentPoly, the character type, is a Vec on integer exponents.
+The verify_* suites check the realizations against each other and against
+localization weights.
 """
 
 from .core_quotient import core_and_quotient, cq_inverse, core_partition
@@ -22,7 +24,7 @@ from .equivariant import (
     verify_fixed_points,
     verify_geometric_match,
 )
-from .fock import DegreeOverflowError, Vec, verify_boson_fermion
+from .fock import verify_boson_fermion
 from .frenkel_kac import (
     explicit_action,
     fk_action,
@@ -31,12 +33,11 @@ from .frenkel_kac import (
     verify_intertwining,
     verify_relations,
 )
-from .partitions import LaurentPoly, diagonal_char, enumerate_partitions
+from .partitions import LaurentPoly, Vec, diagonal_char, enumerate_partitions
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegreeOverflowError",
     "LaurentPoly",
     "Vec",
     "core_and_quotient",

@@ -17,10 +17,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import core_quotient, maya
-from .fock import Vec
 from .frenkel_kac import explicit_e, shape_label_json
 from .partitions import (
     LaurentPoly,
+    Vec,
     addable_of_residue,
     as_partition,
     check_residue,

@@ -8,6 +8,7 @@ psi_star_j inserts one; both carry the sign (-1)**(number of particles
 strictly below j). The degree-n Heisenberg operator heis(n) is the sum of
 all single-bead hops by n steps with the fermionic sign, which on
 partition labels is the border-strip (Murnaghan-Nakayama) expansion.
+States are partitions.Vec over these labels; fock.Vec is the same class.
 
 The same fermions arise as coefficients of the kernel fields
 
@@ -32,84 +33,12 @@ from functools import lru_cache
 
 from . import maya
 from .maya import HALF
-from .partitions import enumerate_partitions, transpose
+from .partitions import Vec, enumerate_partitions, transpose
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
 # position. Flipping it desynchronizes the direct fermions from the kernel
 # fields, which the mutation-sensitivity suite checks.
 FERMION_SIGN = -1
-
-
-class DegreeOverflowError(Exception):
-    """An operator output left the requested degree window."""
-
-
-class Vec:
-    """Finite linear combination of hashable basis labels.
-
-    Coefficients are stored as given: ints on every route but the
-    geometric one, which divides and so yields Fractions.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
-
-    @classmethod
-    def basis(cls, label) -> "Vec":
-        return cls({label: 1})
-
-    @classmethod
-    def zero(cls) -> "Vec":
-        return cls()
-
-    def coeff(self, label):
-        return self.terms.get(label, 0)
-
-    def __add__(self, other: "Vec") -> "Vec":
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            out[label] = out.get(label, 0) + coeff
-        return Vec(out)
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        out = dict(self.terms)
-        for label, coeff in other.terms.items():
-            out[label] = out.get(label, 0) - coeff
-        return Vec(out)
-
-    def __neg__(self) -> "Vec":
-        return Vec({label: -coeff for label, coeff in self.terms.items()})
-
-    def __mul__(self, scalar) -> "Vec":
-        return Vec({label: coeff * scalar for label, coeff in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vec) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def apply(self, fn) -> "Vec":
-        """Extend fn: label -> Vec linearly."""
-        out: dict = {}
-        for label, coeff in self.terms.items():
-            for out_label, out_coeff in fn(label).terms.items():
-                out[out_label] = out.get(out_label, 0) + coeff * out_coeff
-        return Vec(out)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "Vec(0)"
-        bits = [f"{coeff}*{label}" for label, coeff in sorted(
-            self.terms.items(), key=lambda t: repr(t[0]))]
-        return "Vec(" + " + ".join(bits) + ")"
 
 
 def label_sort_key(label):
@@ -228,19 +157,6 @@ def charge_shift(v: Vec, s: int) -> Vec:
     return Vec({(c + s, lam): coeff for (c, lam), coeff in v.terms.items()})
 
 
-def degree(v: Vec) -> int:
-    """Largest partition size in the support (0 for the zero vector)."""
-    return max((sum(lam) for (_, lam) in v.terms), default=0)
-
-
-def _check_window(v: Vec, window) -> Vec:
-    if window is not None and degree(v) > window:
-        raise DegreeOverflowError(
-            f"output degree {degree(v)} exceeds window {window}"
-        )
-    return v
-
-
 def _horizontal_strips(lam, d: int, add: bool) -> list:
     """Shapes mu such that mu/lam (add) or lam/mu (remove) is a horizontal
     d-strip: row i moves by at most the gap to its neighbour, which is
@@ -284,7 +200,7 @@ def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     }
 
 
-def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False, window=None) -> Vec:
+def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     """Coefficient of z^(sign*d) in the Gamma kernel applied to v.
 
     sign=+1 selects Gplus (built from the raising generators heis(-m),
@@ -302,10 +218,10 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False, window=None) -
             {(c, mu): coeff for mu, coeff in _gamma_on_shape(sign, d, inverse, lam).items()}
         )
 
-    return _check_window(v.apply(on_basis), window)
+    return v.apply(on_basis)
 
 
-def fermion_field_coeff(kind: str, j, v: Vec, window=None) -> Vec:
+def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     """Mode of the kernel field: the second route to psi / psi_star.
 
     kind="psi" extracts the z^(j-1/2) coefficient of Psi(z), kind="psi_star"
@@ -335,7 +251,7 @@ def fermion_field_coeff(kind: str, j, v: Vec, window=None) -> Vec:
         for mu, n in shapes.items():
             key = (out_charge, mu)
             total[key] = total.get(key, 0) + coeff * n
-    return _check_window(Vec(total), window)
+    return Vec(total)
 
 
 def clifford_check(positions, states) -> list:
@@ -374,7 +290,7 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     """Compare direct fermions with kernel-field coefficients mode by mode.
 
     Runs over all charges |c| <= max_charge, partitions of size <=
-    max_degree, and every mode whose image can stay in the window. Returns
+    max_degree, and every mode whose image stays within max_degree. Returns
     a report dict with a failures list.
     """
     if max_degree < 0 or max_charge < 0:
@@ -394,7 +310,7 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
                 ("psi_star", psi_star, -k - 1 - c),
             ):
                 if sum(lam) + shift > max_degree:
-                    continue  # image leaves the degree window
+                    continue  # image is above max_degree
                 direct = direct_fn(j, v)
                 kernel = fermion_field_coeff(kind, j, v)
                 if direct != kernel:

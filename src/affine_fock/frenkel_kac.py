@@ -37,12 +37,11 @@ verify_relations checks the Chevalley-Serre relations degreewise.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import comb
 
-from . import core_quotient, fock, maya
-from .fock import DegreeOverflowError, Vec
-from .maya import HALF
+from . import core_quotient, fock
 from .partitions import (
+    Vec,
     add_node,
     check_residue,
     partitions_up_to,
@@ -149,11 +148,6 @@ def shape_sort_key(lam):
     return (sum(lam), tuple(-p for p in lam))
 
 
-def fk_energy(label) -> int:
-    beta, mus = label
-    return pairing(beta, beta) // 2 + sum(sum(mu) for mu in mus)
-
-
 def transport(v: Vec, l: int) -> Vec:
     """Send b_lam to [core vector] x (quotient components)."""
 
@@ -232,105 +226,32 @@ def _exp_coeff_on_shapes(alpha, sign: int, d: int, mus) -> dict:
 
 # --------------------------------------------------------- vertex operator
 
-def vertex_coeff(alpha, m: int, v: Vec, l: int | None = None, window=None) -> Vec:
+def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
     """Coefficient of z^m in X(alpha, z) applied to v.
 
     Applied right to left: the lattice part Z0 (monomial and translation),
     then the annihilation exponential, then the creation exponential. The
     lowest nonzero mode on [beta] x b is (alpha,alpha)/2 + (alpha,beta).
     """
+    alpha = check_lattice_vector(alpha, l)
+    norm = pairing(alpha, alpha) // 2
     total: dict = {}
     for label, coeff in v.terms.items():
         beta, mus = label
-        if l is None:
-            l = len(beta)
-        alpha_t = check_lattice_vector(alpha, l)
-        base = pairing(alpha_t, alpha_t) // 2 + pairing(alpha_t, beta)
-        out_beta = tuple(b + a for b, a in zip(beta, alpha_t))
+        base = norm + pairing(alpha, beta)
+        out_beta = tuple(b + a for b, a in zip(beta, alpha))
         room = sum(sum(mu) for mu in mus)
         for b in range(room + 1):
             a = m - base + b
             if a < 0:
                 continue
-            for shapes1, c1 in _exp_coeff_on_shapes(alpha_t, -1, b, mus).items():
+            for shapes1, c1 in _exp_coeff_on_shapes(alpha, -1, b, mus).items():
                 for shapes2, c2 in _exp_coeff_on_shapes(
-                    alpha_t, 1, a, shapes1
+                    alpha, 1, a, shapes1
                 ).items():
                     key = (out_beta, shapes2)
                     total[key] = total.get(key, 0) + coeff * c1 * c2
-    out = Vec(total)
-    if window is not None:
-        for label in out.terms:
-            if fk_energy(label) > window:
-                raise DegreeOverflowError(
-                    f"vertex output energy {fk_energy(label)} exceeds window {window}"
-                )
-    return out
-
-
-# ------------------------------------------------- strand fermion fields
-
-def strand_field_coeff(kind: str, j, k_index: int, v: Vec) -> Vec:
-    """Modes of the paired strand fermion fields on the lattice Fock space.
-
-    kind="psi" is the z^(j-1/2) coefficient of
-    Gplus_k(z) Gminus_k(z)^{-1} [beta_k += 1] z^{+beta_k}; kind="psi_star"
-    the z^(-j-1/2) coefficient of Gplus_k(z)^{-1} Gminus_k(z)
-    [beta_k -= 1] z^{-beta_k}. Pairing them reassembles X(alpha_i, z):
-        X_n(alpha_i) = sum_h psi(n+h on strand i-1/2) psi_star(h on i+1/2)
-    and the pair needs no cross-strand sign.
-    """
-    j = maya._check_half_integer(j)
-    if kind not in ("psi", "psi_star"):
-        raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
-    total: dict = {}
-    for label, coeff in v.terms.items():
-        beta, mus = label
-        shape = mus[k_index]
-        if kind == "psi":
-            target = j - HALF - beta[k_index]
-            delta = 1
-            plus_inverse, minus_inverse = False, True
-        else:
-            target = beta[k_index] - j - HALF
-            delta = -1
-            plus_inverse, minus_inverse = True, False
-        out_beta = tuple(
-            b + (delta if k == k_index else 0) for k, b in enumerate(beta)
-        )
-        for b in range(sum(shape) + 1):
-            a = target + b
-            if a < 0 or a != int(a):
-                continue
-            for mid, c1 in _twisted_gamma_on_shape(-1, b, minus_inverse, shape).items():
-                for mu, c2 in _twisted_gamma_on_shape(1, int(a), plus_inverse, mid).items():
-                    new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
-                    key = (out_beta, new)
-                    total[key] = total.get(key, 0) + coeff * c1 * c2
     return Vec(total)
-
-
-def vertex_bilinear(i: int, n: int, v: Vec, l: int) -> Vec:
-    """X_n(alpha_i) rebuilt from the paired strand fermion modes."""
-    if not 1 <= i <= l - 1:
-        raise ValueError(f"simple root index must be 1..{l - 1}: {i}")
-    total = Vec.zero()
-    for label, coeff in v.terms.items():
-        beta, mus = label
-        # The insertion factor on strand index i is zero above
-        # beta_i + |mu_i| - 1/2, and the deletion factor on strand index
-        # i-1 (which the first factor never touches) is zero once its mode
-        # drops below beta_{i-1} + 1/2 - |mu_{i-1}|. The range is exact.
-        hi = beta[i] + sum(mus[i]) - HALF
-        lo = beta[i - 1] + HALF - sum(mus[i - 1]) - n
-        h = lo
-        while h <= hi:
-            w = strand_field_coeff("psi_star", h, i, Vec({label: coeff}))
-            if w:
-                w = strand_field_coeff("psi", n + h, i - 1, w)
-                total = total + w
-            h += 1
-    return total
 
 
 # ----------------------------------------------------- generator actions
@@ -355,50 +276,39 @@ def parse_generator(g: str) -> tuple[str, int, int | None]:
     return kind, int(idx), None
 
 
-def fk_e(i: int, v: Vec, l: int, window=None) -> Vec:
+def _fk_root(alpha, m: int, f_type: bool, v: Vec, l: int) -> Vec:
+    """The dressed root mode eps(alpha, alpha)^[f_type] eps(alpha, beta)
+    X_m(alpha) on each [beta] x b of v."""
+    dress = epsilon(alpha, alpha, l) if f_type else 1
+    total = Vec.zero()
+    for label, coeff in v.terms.items():
+        sign = dress * epsilon(alpha, label[0], l)
+        total = total + sign * vertex_coeff(alpha, m, Vec({label: coeff}), l)
+    return total
+
+
+def fk_e(i: int, v: Vec, l: int) -> Vec:
     """Raising generator at residue i on the lattice Fock space.
 
     Residue 0 is the f-type generator of the highest root at loop degree 1,
     so it carries the f dressing eps(theta, theta) eps(theta, beta).
     """
     i = check_residue(i, l)
-    total = Vec.zero()
-    for label, coeff in v.terms.items():
-        beta, _ = label
-        piece = Vec({label: coeff})
-        if i == 0:
-            top = theta(l)
-            sign = epsilon(top, top, l) * epsilon(top, beta, l)
-            out = vertex_coeff(tuple(-x for x in top), -1, piece, l, window)
-        else:
-            root = simple_root(i, l)
-            sign = epsilon(root, beta, l)
-            out = vertex_coeff(root, 0, piece, l, window)
-        total = total + sign * out
-    return total
+    if i == 0:
+        return _fk_root(tuple(-x for x in theta(l)), -1, True, v, l)
+    return _fk_root(simple_root(i, l), 0, False, v, l)
 
 
-def fk_f(i: int, v: Vec, l: int, window=None) -> Vec:
+def fk_f(i: int, v: Vec, l: int) -> Vec:
     """Lowering generator at residue i on the lattice Fock space.
 
     Residue 0 is the e-type generator of the highest root at loop degree -1
     and carries the plain dressing eps(theta, beta).
     """
     i = check_residue(i, l)
-    total = Vec.zero()
-    for label, coeff in v.terms.items():
-        beta, _ = label
-        piece = Vec({label: coeff})
-        if i == 0:
-            top = theta(l)
-            sign = epsilon(top, beta, l)
-            out = vertex_coeff(top, 1, piece, l, window)
-        else:
-            root = simple_root(i, l)
-            sign = epsilon(root, root, l) * epsilon(root, beta, l)
-            out = vertex_coeff(tuple(-x for x in root), 0, piece, l, window)
-        total = total + sign * out
-    return total
+    if i == 0:
+        return _fk_root(theta(l), 1, False, v, l)
+    return _fk_root(tuple(-x for x in simple_root(i, l)), 0, True, v, l)
 
 
 def fk_h(i: int, v: Vec, l: int) -> Vec:
@@ -424,12 +334,12 @@ def fk_p(i: int, m: int, v: Vec, l: int) -> Vec:
     return heis_tensor(m, i - 1, v) - heis_tensor(m, i, v)
 
 
-def fk_action(g: str, v: Vec, l: int, window=None) -> Vec:
+def fk_action(g: str, v: Vec, l: int) -> Vec:
     kind, i, mode = parse_generator(g)
     if kind == "e":
-        return fk_e(i, v, l, window)
+        return fk_e(i, v, l)
     if kind == "f":
-        return fk_f(i, v, l, window)
+        return fk_f(i, v, l)
     if kind == "h":
         return fk_h(i, v, l)
     return fk_p(i, mode, v, l)
@@ -629,36 +539,19 @@ def verify_relations(l: int, max_degree: int) -> dict:
                     if lhs != rhs:
                         record(f"[e_{i},f_{j}]", lam, lhs, rhs)
                 if i != j:
+                    # the f relation needs headroom for power + 1 nodes
                     power = 1 - cartan[i][j]
-                    lhs = Vec.zero()
-                    for k in range(power + 1):
-                        word = (
-                            (f"e_{i}",) * (power - k)
-                            + (f"e_{j}",)
-                            + (f"e_{i}",) * k
-                        )
-                        sign = -1 if k % 2 else 1
-                        coeff = sign * factorial(power) // (
-                            factorial(k) * factorial(power - k)
-                        )
-                        lhs = lhs + coeff * apply_word(word, v)
-                    if lhs:
-                        record(f"serre e_{i},e_{j}", lam, lhs, Vec.zero())
-                    if room >= power + 1:
+                    for kind, need in (("e", 0), ("f", power + 1)):
+                        if room < need:
+                            continue
+                        x, y = f"{kind}_{i}", f"{kind}_{j}"
                         lhs = Vec.zero()
                         for k in range(power + 1):
-                            word = (
-                                (f"f_{i}",) * (power - k)
-                                + (f"f_{j}",)
-                                + (f"f_{i}",) * k
-                            )
                             sign = -1 if k % 2 else 1
-                            coeff = sign * factorial(power) // (
-                                factorial(k) * factorial(power - k)
-                            )
-                            lhs = lhs + coeff * apply_word(word, v)
+                            word = (x,) * (power - k) + (y,) + (x,) * k
+                            lhs = lhs + sign * comb(power, k) * apply_word(word, v)
                         if lhs:
-                            record(f"serre f_{i},f_{j}", lam, lhs, Vec.zero())
+                            record(f"serre {x},{y}", lam, lhs, Vec.zero())
     # stable: within one shape, failures keep the (i, j) loop order
     failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
     return {

@@ -224,32 +224,3 @@ def assemble_strands(strands, l: int) -> Maya:
         pb.extend(l * (h - HALF) + k for h in s.particles_below)
         ha.extend(l * (h - HALF) + k for h in s.holes_above)
     return Maya(pb, ha)
-
-
-def eta_congruence(m: Maya, j: int, l: int, cutoff=None) -> int:
-    """Boundary-count statistic read off the diagram by congruence classes.
-
-    For the diagonal j (an integer), counts particles at positions congruent
-    to j + 1/2 mod l strictly below j, minus particles at positions congruent
-    to j - 1/2 mod l strictly below j - 1. Equals the smaller-content eta of
-    the underlying partition at the node of content j.
-
-    cutoff, when given, discards positions below it; any cutoff at or below
-    the lowest particle is exact, and the default is exact.
-    """
-    if cutoff is None:
-        cutoff = min(m.particles_below, default=-HALF) - l
-    cutoff = _check_half_integer(cutoff) - 1
-    plus = 0
-    h = j + HALF - l
-    while h > cutoff:
-        if evaluate(m, h) == 1:
-            plus += 1
-        h -= l
-    minus = 0
-    h = j - HALF - l
-    while h > cutoff:
-        if evaluate(m, h) == 1:
-            minus += 1
-        h -= l
-    return plus - minus

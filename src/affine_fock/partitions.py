@@ -1,4 +1,5 @@
-"""Integer partitions, their diagrams, and Laurent polynomial characters.
+"""Integer partitions, their diagrams, sparse exact vectors and Laurent
+polynomial characters.
 
 Partitions are plain tuples of weakly decreasing positive integers, the empty
 partition being (). A node (a, b) of the diagram sits in row a, column b
@@ -6,6 +7,10 @@ partition being (). A node (a, b) of the diagram sits in row a, column b
 The content of a node is a - b: row index minus column index, so the single
 node of (1) has content 0, the second column node of (2) has content -1, and
 the second row node of (1, 1) has content +1.
+
+Vec is the one sparse exact-vector type: the charged Fock labels, the
+lattice labels and the partitions all index Vecs, and LaurentPoly is a Vec
+on integer exponents with the polynomial product added.
 """
 
 from __future__ import annotations
@@ -51,96 +56,117 @@ def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(1 for row in lam if row > b) for b in range(lam[0]))
 
 
-class LaurentPoly:
-    """Laurent polynomial in one variable with exact coefficients.
+class Vec:
+    """Finite linear combination of hashable basis labels.
 
-    Stored as a mapping from integer exponents to nonzero coefficients
-    (ints or Fractions). Instances are treated as immutable.
+    Coefficients are stored as given: ints on every route but the
+    geometric one, which divides and so yields Fractions. Sums, negatives
+    and scalar multiples keep the subclass (LaurentPoly stays LaurentPoly).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs=None):
-        clean = {}
-        if coeffs:
-            for e, c in dict(coeffs).items():
-                if c:
-                    clean[int(e)] = clean.get(int(e), 0) + c
-        self.coeffs = {e: c for e, c in clean.items() if c}
+    def __init__(self, terms=None):
+        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
 
     @classmethod
-    def monomial(cls, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls({exponent: coeff})
+    def basis(cls, label) -> "Vec":
+        return cls({label: 1})
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
+    def zero(cls) -> "Vec":
         return cls()
 
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+    def coeff(self, label):
+        return self.terms.get(label, 0)
 
-    def coeff(self, exponent: int):
-        return self.coeffs.get(exponent, 0)
+    def __add__(self, other: "Vec") -> "Vec":
+        out = dict(self.terms)
+        for label, coeff in other.terms.items():
+            out[label] = out.get(label, 0) + coeff
+        return type(self)(out)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
+    def __sub__(self, other: "Vec") -> "Vec":
+        out = dict(self.terms)
+        for label, coeff in other.terms.items():
+            out[label] = out.get(label, 0) - coeff
+        return type(self)(out)
 
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
+    def __neg__(self) -> "Vec":
+        return type(self)({label: -coeff for label, coeff in self.terms.items()})
 
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, LaurentPoly):
-            out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-            return LaurentPoly(out)
-        return LaurentPoly({e: c * other for e, c in self.coeffs.items()})
+    def __mul__(self, scalar) -> "Vec":
+        return type(self)({label: coeff * scalar for label, coeff in self.terms.items()})
 
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        return isinstance(other, Vec) and self.terms == other.terms
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def apply(self, fn) -> "Vec":
+        """Extend fn: label -> Vec linearly."""
+        out: dict = {}
+        for label, coeff in self.terms.items():
+            for out_label, out_coeff in fn(label).terms.items():
+                out[out_label] = out.get(out_label, 0) + coeff * out_coeff
+        return Vec(out)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "Vec(0)"
+        bits = [f"{coeff}*{label}" for label, coeff in sorted(
+            self.terms.items(), key=lambda t: repr(t[0]))]
+        return "Vec(" + " + ".join(bits) + ")"
+
+
+class LaurentPoly(Vec):
+    """Laurent polynomial in one variable: a Vec on integer exponents.
+
+    Coefficients are ints or Fractions. Vec supplies sums, scalar
+    multiples, equality and coeff(exponent); a LaurentPoly factor makes
+    `*` the polynomial product.
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return super().__mul__(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return LaurentPoly(out)
 
     def compose_power(self, k: int) -> "LaurentPoly":
         """Substitute z -> z**k. k = -1 mirrors the polynomial."""
         if k == 0:
             raise ValueError("substitution exponent must be nonzero")
-        return LaurentPoly({e * k: c for e, c in self.coeffs.items()})
+        return LaurentPoly({e * k: c for e, c in self.terms.items()})
 
     def shift(self, s: int) -> "LaurentPoly":
         """Multiply by z**s."""
-        return LaurentPoly({e + s: c for e, c in self.coeffs.items()})
+        return LaurentPoly({e + s: c for e, c in self.terms.items()})
 
     def keep_residue(self, l: int, r: int = 0) -> "LaurentPoly":
         """Keep only the terms whose exponent is congruent to r mod l."""
         return LaurentPoly(
-            {e: c for e, c in self.coeffs.items() if (e - r) % l == 0}
+            {e: c for e, c in self.terms.items() if (e - r) % l == 0}
         )
 
     def at_one(self):
-        return sum(self.coeffs.values())
+        return sum(self.terms.values())
 
     def to_json(self) -> dict:
         out = {}
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if isinstance(c, Fraction) and c.denominator == 1:
                 c = int(c)
             out[str(e)] = c if isinstance(c, int) else str(c)
@@ -148,17 +174,17 @@ class LaurentPoly:
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
-        coeffs = {}
+        terms = {}
         for e, c in data.items():
-            coeffs[int(e)] = c if isinstance(c, int) else Fraction(c)
-        return cls(coeffs)
+            terms[int(e)] = c if isinstance(c, int) else Fraction(c)
+        return cls(terms)
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         terms = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if e == 0:
                 terms.append(f"{c}")
             elif e == 1:

@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from affine_fock import cli
-from affine_fock.fock import DegreeOverflowError
 
 
 def run_main(capsys, *argv):
@@ -142,14 +141,17 @@ def test_argparse_error_exits_2():
     assert exc.value.code == 2
 
 
-def test_overflow_exit_4(capsys, monkeypatch):
-    def boom(*_args, **_kwargs):
-        raise DegreeOverflowError("window exceeded")
-
-    monkeypatch.setattr(cli, "explicit_action", boom)
-    code, _, err = run_main(capsys, "act", "--g", "e_0", "--lambda", "[]", "--l", "2")
-    assert code == 4
-    assert "window" in err
+def test_overflow_exit_4(capsys):
+    """A --degree above the bound is refused before any enumeration."""
+    for argv in (
+        ("verify", "--suite", "relations", "--degree", "41"),
+        ("matrix", "--g", "f_0", "--l", "3", "--degree", "41"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == "error: --degree 41 exceeds the limit 40\n"
+    assert cli.MAX_DEGREE == 40
+    assert cli._check_degree(40) == 40
 
 
 def test_matrix_json_frozen(capsys):

@@ -7,7 +7,6 @@ from hypothesis import given
 
 from affine_fock import fock
 from affine_fock.fock import (
-    DegreeOverflowError,
     Vec,
     clifford_check,
     fermion_field_coeff,
@@ -132,12 +131,6 @@ def test_gamma_inverse_is_inverse(lam, d):
     for b in range(d + 1):
         total = total + gamma_coeff(1, d - b, gamma_coeff(1, b, v, inverse=True))
     assert total == Vec.zero()
-
-
-def test_window_overflow():
-    with pytest.raises(DegreeOverflowError):
-        gamma_coeff(1, 5, vacuum(), window=3)
-    assert gamma_coeff(1, 2, vacuum(), window=2) == Vec.basis((0, (2,)))
 
 
 def test_kernel_field_matches_fermions_on_spots():

@@ -8,10 +8,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from affine_fock import fock
+from affine_fock import fock, maya
 from affine_fock import frenkel_kac as fk
 from affine_fock import partitions as pt
 from affine_fock.fock import Vec
+from affine_fock.maya import HALF
 from affine_fock.partitions import enumerate_partitions, partitions_up_to
 from conftest import partitions
 
@@ -121,6 +122,71 @@ def test_transport_frozen():
     assert fk.transport(Vec.basis((2,)), 2) == Vec.basis(((0, 0), ((1,), ())))
 
 
+def strand_field_coeff(kind: str, j, k_index: int, v: Vec) -> Vec:
+    """Modes of the paired strand fermion fields on the lattice Fock space.
+
+    kind="psi" is the z^(j-1/2) coefficient of
+    Gplus_k(z) Gminus_k(z)^{-1} [beta_k += 1] z^{+beta_k}; kind="psi_star"
+    the z^(-j-1/2) coefficient of Gplus_k(z)^{-1} Gminus_k(z)
+    [beta_k -= 1] z^{-beta_k}. Pairing them reassembles X(alpha_i, z):
+        X_n(alpha_i) = sum_h psi(n+h on strand i-1/2) psi_star(h on i+1/2)
+    and the pair needs no cross-strand sign.
+    """
+    j = maya._check_half_integer(j)
+    if kind not in ("psi", "psi_star"):
+        raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
+    total: dict = {}
+    for label, coeff in v.terms.items():
+        beta, mus = label
+        shape = mus[k_index]
+        if kind == "psi":
+            target = j - HALF - beta[k_index]
+            delta = 1
+            plus_inverse, minus_inverse = False, True
+        else:
+            target = beta[k_index] - j - HALF
+            delta = -1
+            plus_inverse, minus_inverse = True, False
+        out_beta = tuple(
+            b + (delta if k == k_index else 0) for k, b in enumerate(beta)
+        )
+        for b in range(sum(shape) + 1):
+            a = target + b
+            if a < 0 or a != int(a):
+                continue
+            for mid, c1 in fk._twisted_gamma_on_shape(-1, b, minus_inverse, shape).items():
+                for mu, c2 in fk._twisted_gamma_on_shape(1, int(a), plus_inverse, mid).items():
+                    new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
+                    key = (out_beta, new)
+                    total[key] = total.get(key, 0) + coeff * c1 * c2
+    return Vec(total)
+
+
+def vertex_bilinear(i: int, n: int, v: Vec, l: int) -> Vec:
+    """X_n(alpha_i) rebuilt from the paired strand fermion modes: the
+    fermionic form of the Frenkel-Kac construction, kept as the oracle for
+    vertex_coeff."""
+    if not 1 <= i <= l - 1:
+        raise ValueError(f"simple root index must be 1..{l - 1}: {i}")
+    total = Vec.zero()
+    for label, coeff in v.terms.items():
+        beta, mus = label
+        # The insertion factor on strand index i is zero above
+        # beta_i + |mu_i| - 1/2, and the deletion factor on strand index
+        # i-1 (which the first factor never touches) is zero once its mode
+        # drops below beta_{i-1} + 1/2 - |mu_{i-1}|. The range is exact.
+        hi = beta[i] + sum(mus[i]) - HALF
+        lo = beta[i - 1] + HALF - sum(mus[i - 1]) - n
+        h = lo
+        while h <= hi:
+            w = strand_field_coeff("psi_star", h, i, Vec({label: coeff}))
+            if w:
+                w = strand_field_coeff("psi", n + h, i - 1, w)
+                total = total + w
+            h += 1
+    return total
+
+
 @given(
     partitions(max_size=3),
     st.integers(min_value=2, max_value=3),
@@ -132,7 +198,7 @@ def test_vertex_exponential_vs_bilinear(lam, l, n):
     for i in range(1, l):
         v = fk.transport(Vec.basis(lam), l)
         root = fk.simple_root(i, l)
-        assert fk.vertex_bilinear(i, n, v, l) == fk.vertex_coeff(root, n, v, l)
+        assert vertex_bilinear(i, n, v, l) == fk.vertex_coeff(root, n, v, l)
 
 
 @lru_cache(maxsize=None)

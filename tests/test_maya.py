@@ -92,15 +92,3 @@ def test_strand_assembly_round_trip(c, lam, l):
     assert maya.assemble_strands(strands, l) == m
     assert sum(maya.charge(s) for s in strands) == c
 
-
-@given(partitions(), levels, st.integers(min_value=-6, max_value=6))
-def test_eta_congruence_reads_the_eta_scan(lam, l, j):
-    """The congruence-class particle count equals the smaller-content
-    boundary scan at any node on diagonal j."""
-    m = maya.from_partition(lam)
-    node = (j, 0) if j >= 0 else (0, -j)
-    want = pt.eta(lam, j % l, node, l, "left")
-    assert maya.eta_congruence(m, j, l) == want
-    # exactness does not depend on the cutoff once below the lowest particle
-    low = min(m.particles_below, default=-HALF)
-    assert maya.eta_congruence(m, j, l, cutoff=low - 3 * l) == want

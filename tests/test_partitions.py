@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 
 from affine_fock import partitions as pt
-from affine_fock.partitions import LaurentPoly
+from affine_fock.partitions import LaurentPoly, Vec
 from conftest import levels, partitions
 
 
@@ -218,6 +218,17 @@ def test_laurent_fraction_coefficients():
     poly = LaurentPoly({2: Fraction(1, 3)})
     assert (3 * poly).coeff(2) == 1
     assert LaurentPoly.from_json(poly.to_json()) == poly
+
+
+def test_laurent_is_a_vec():
+    """One sparse type: LaurentPoly is a Vec, and Vec arithmetic on it
+    keeps the subclass (and so its repr and polynomial product)."""
+    p, q = LaurentPoly({1: 2, -1: 1}), LaurentPoly({0: 1})
+    assert isinstance(p, Vec) and p.terms == {1: 2, -1: 1}
+    for r in (-p, p - q, p + q, 2 * p, p * 2):
+        assert type(r) is LaurentPoly
+    assert repr(-p) == "-1*z^-1 + -2*z"
+    assert (2 * p) * q == LaurentPoly({1: 4, -1: 2})
 
 
 def test_enumeration_counts_and_order():
