@@ -20,6 +20,12 @@ exp(sum_m z^{-m} heis(m)/m); psi_j is the z^{j-1/2} coefficient of Psi and
 psi_star_j the z^{-j-1/2} coefficient of Psi_star. verify_boson_fermion
 compares the two routes mode by mode.
 
+There is one field kernel, prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k
+on a tuple of shapes for an integer vector alpha (_field_on_shapes). Psi
+and Psi_star are its rank-one cases alpha = (1,) and (-1,), the vertex
+operators X(+1, z) and X(-1, z); frenkel_kac applies the same kernel to
+the l quotient shapes for X(alpha, z).
+
 The kernel coefficients are computed by the Pieri rules, in integers: the
 z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
 Gplus^{-1} a vertical d-strip (coefficient (-1)^d); the z^{-d} coefficients
@@ -75,7 +81,7 @@ def psi(j, v: Vec) -> Vec:
     On beads: remove the bead at b = j - 1/2. The k rows above it grow by
     one and the rows below move up one place.
     """
-    b = int(maya._check_half_integer(j) - HALF)
+    b = maya.bead(j)
 
     def on_basis(label) -> Vec:
         c, lam = label
@@ -94,7 +100,7 @@ def psi_star(j, v: Vec) -> Vec:
     On beads: fill the hole b = j - 1/2. The k rows above it shrink by one
     and a new row k - c - 1 - b goes in at place k.
     """
-    b = int(maya._check_half_integer(j) - HALF)
+    b = maya.bead(j)
 
     def on_basis(label) -> Vec:
         c, lam = label
@@ -221,35 +227,58 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     return v.apply(on_basis)
 
 
+@lru_cache(maxsize=1 << 14)
+def _exp_on_shapes(alpha, sign: int, d: int, shapes) -> dict:
+    """Coefficient of z^(sign*d) in prod_k Gplus_k(z)^-alpha_k (sign=+1) or
+    prod_k Gminus_k(z)^alpha_k (sign=-1) on a tuple of shapes.
+
+    Shape k carries |alpha_k| commuting copies of the plain kernel, inverted
+    exactly when sign*alpha_k > 0. Each copy but the last takes any part of
+    the degree still to place, and the last takes all of it.
+    """
+    factors = [(k, sign * a > 0) for k, a in enumerate(alpha) for _ in range(abs(a))]
+    last = len(factors) - 1
+    layer = {(shapes, d): 1}  # shapes and the degree still to place
+    for n, (k, inverse) in enumerate(factors):
+        nxt: dict = {}
+        for (mus, left), c0 in layer.items():
+            for e in (left,) if n == last else range(left + 1):
+                for mu, c1 in _gamma_on_shape(sign, e, inverse, mus[k]).items():
+                    key = (mus[:k] + (mu,) + mus[k + 1 :], left - e)
+                    nxt[key] = nxt.get(key, 0) + c0 * c1
+        layer = nxt
+    # degree is left over only when alpha is zero and there are no factors
+    return {mus: c for (mus, left), c in layer.items() if c and not left}
+
+
+def _field_on_shapes(alpha, target: int, shapes) -> dict:
+    """The field kernel: the z^target coefficient of
+    prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k on a tuple of shapes,
+    summed over the degree b that the Gminus part removes."""
+    out: dict = {}
+    for b in range(max(0, -target), sum(map(sum, shapes)) + 1):
+        for mid, c1 in _exp_on_shapes(alpha, -1, b, shapes).items():
+            for mus, c2 in _exp_on_shapes(alpha, 1, target + b, mid).items():
+                out[mus] = out.get(mus, 0) + c1 * c2
+    return out
+
+
 def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     """Mode of the kernel field: the second route to psi / psi_star.
 
     kind="psi" extracts the z^(j-1/2) coefficient of Psi(z), kind="psi_star"
-    the z^(-j-1/2) coefficient of Psi_star(z). Applied right to left: the
-    charge power of z, the charge shift, the Gminus part, then the Gplus
-    part.
+    the z^(-j-1/2) coefficient of Psi_star(z): the field kernel with
+    alpha = (1,) or (-1,) after the charge power of z and the charge shift.
     """
-    h = int(maya._check_half_integer(j) - HALF)  # j = h + 1/2
+    h = maya.bead(j)  # j = h + 1/2
     if kind not in ("psi", "psi_star"):
         raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
+    a = 1 if kind == "psi" else -1
     total: dict = {}
-    for label, coeff in v.terms.items():
-        c, lam = label
-        if kind == "psi":
-            target = h + c  # z^{-c} already extracted
-            out_charge = c - 1
-            plus_inverse, minus_inverse = True, False
-        else:
-            target = -h - 1 - c
-            out_charge = c + 1
-            plus_inverse, minus_inverse = False, True
-        shapes: dict = {}
-        for b in range(max(0, -target), sum(lam) + 1):
-            for shape, c1 in _gamma_on_shape(-1, b, minus_inverse, lam).items():
-                for mu, c2 in _gamma_on_shape(1, target + b, plus_inverse, shape).items():
-                    shapes[mu] = shapes.get(mu, 0) + c1 * c2
-        for mu, n in shapes.items():
-            key = (out_charge, mu)
+    for (c, lam), coeff in v.terms.items():
+        target = h + c if a == 1 else -h - 1 - c  # z^{-a c} already extracted
+        for (mu,), n in _field_on_shapes((a,), target, (lam,)).items():
+            key = (c - a, mu)
             total[key] = total.get(key, 0) + coeff * n
     return Vec(total)
 

@@ -19,14 +19,18 @@ Z^l. The generators become coefficients of vertex operators
 with Z0 [beta] x b = z^{(alpha,alpha)/2 + (alpha,beta)} [beta+alpha] x b,
 Eplus(z) = exp(-sum_n z^-n alpha(n)/n), Eminus(z) = exp(sum_n z^n
 alpha(-n)/n), and alpha(n) the strand Heisenberg weighted by alpha. The
-strand boson is the particle-hole twist of the plain strip expansion (mode
-n carries an extra (-1)^(|n|-1), equivalently strips are counted on the
-transposed shape); without the twist the two routes already disagree on
-partitions of 4. Both exponentials factor over strands: Eminus(z) is the
-product of Gplus_k(z)^alpha_k and Eplus(z) of Gminus_k(z)^-alpha_k, with
-Gplus_k, Gminus_k the twisted half-vertices of strand k. Each factor is the
-integer strip kernel of fock on the transposed shape, so the exponentials
-need no rational arithmetic. A two-cocycle sign eps(., .) on the lattice
+strand boson is the particle-hole twist of the plain one: mode n carries an
+extra (-1)^(|n|-1), which is the plain mode conjugated by shape
+transposition; without the twist the two routes already disagree on
+partitions of 4. Conjugating the plain half-vertex Gplus_k(z) by
+transposition gives Gplus_k(-z)^-1, and likewise for Gminus_k, so
+
+    Eminus(z) Eplus(z) = prod_k Gplus_k(-z)^-alpha_k Gminus_k(-z)^alpha_k,
+
+the field kernel of fock (the one behind Psi = X(+1, z) at rank one) at
+-z. On [beta] x b the z^m coefficient is therefore (-1)^target times the
+kernel's z^target coefficient, target = m - (alpha,alpha)/2 -
+(alpha,beta), all in integers. A two-cocycle sign eps(., .) on the lattice
 makes the relations close: e-type generators are dressed by eps(alpha,
 beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
 
@@ -36,7 +40,6 @@ verify_relations checks the Chevalley-Serre relations degreewise.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 
 from . import core_quotient, fock
@@ -47,7 +50,6 @@ from .partitions import (
     partitions_up_to,
     remove_node,
     residue_boundary,
-    transpose,
 )
 
 # Which side of a boundary node the explicit-action sign scans: "left"
@@ -62,15 +64,6 @@ EPSILON_NEG_OFFSETS = (0, 1)
 
 
 # ---------------------------------------------------------------- lattice
-
-def check_lattice_vector(beta, l: int) -> tuple[int, ...]:
-    beta = tuple(int(x) for x in beta)
-    if len(beta) != l:
-        raise ValueError(f"lattice vector needs {l} components: {beta}")
-    if sum(beta) != 0:
-        raise ValueError(f"lattice vector components must sum to zero: {beta}")
-    return beta
-
 
 def simple_root(i: int, l: int) -> tuple[int, ...]:
     """alpha_i = e_{i-1/2} - e_{i+1/2} for i = 1..l-1."""
@@ -100,8 +93,8 @@ def epsilon(alpha, beta, l: int) -> int:
     n_i the partial sums of the coordinates; the sign multiplies the table
     entries t[i][j] over all pairs with multiplicity.
     """
-    alpha = check_lattice_vector(alpha, l)
-    beta = check_lattice_vector(beta, l)
+    alpha = core_quotient.check_core_vector(alpha, l)
+    beta = core_quotient.check_core_vector(beta, l)
     n_alpha = [sum(alpha[:i]) for i in range(1, l)]
     n_beta = [sum(beta[:i]) for i in range(1, l)]
     exponent = 0
@@ -190,40 +183,6 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
     return v.apply(on_basis)
 
 
-@lru_cache(maxsize=1 << 14)
-def _twisted_gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
-    """Half-vertex coefficient built from the twisted strand boson.
-
-    Conjugating the plain half-vertex by shape transposition twists every
-    mode consistently with heis_tensor.
-    """
-    flipped = fock._gamma_on_shape(sign, d, inverse, transpose(lam))
-    return {transpose(mu): coeff for mu, coeff in flipped.items()}
-
-
-def _exp_coeff_on_shapes(alpha, sign: int, d: int, mus) -> dict:
-    """Coefficient of z^(sign*d) in the vertex exponential on shapes.
-
-    sign=+1 is exp(sum_n z^n alpha(-n)/n); sign=-1 is
-    exp(-sum_n z^-n alpha(n)/n). Both factor over strands: alpha(n) is
-    sum_k alpha_k p(n)_k, so strand k contributes |alpha_k| commuting copies
-    of its twisted half-vertex (Gplus_k for sign=+1, Gminus_k for sign=-1),
-    inverted exactly when sign*alpha_k < 0. The coefficient sums the strip
-    kernels of the factors over the ways to split d among them, in integers.
-    """
-    factors = [(k, sign * a < 0) for k, a in enumerate(alpha) for _ in range(abs(a))]
-    layer = {(mus, d): 1}  # shapes and the degree still to place
-    for k, inverse in factors:
-        nxt: dict = {}
-        for (shapes, left), c0 in layer.items():
-            for e in range(left + 1):
-                for mu, c1 in _twisted_gamma_on_shape(sign, e, inverse, shapes[k]).items():
-                    key = (shapes[:k] + (mu,) + shapes[k + 1 :], left - e)
-                    nxt[key] = nxt.get(key, 0) + c0 * c1
-        layer = nxt
-    return {shapes: c for (shapes, left), c in layer.items() if c and not left}
-
-
 # --------------------------------------------------------- vertex operator
 
 def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
@@ -231,26 +190,20 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
 
     Applied right to left: the lattice part Z0 (monomial and translation),
     then the annihilation exponential, then the creation exponential. The
-    lowest nonzero mode on [beta] x b is (alpha,alpha)/2 + (alpha,beta).
+    lowest nonzero mode on [beta] x b is (alpha,alpha)/2 + (alpha,beta);
+    the exponentials are the field kernel of fock times (-1)^target, the
+    strand boson's transposition twist.
     """
-    alpha = check_lattice_vector(alpha, l)
+    alpha = core_quotient.check_core_vector(alpha, l)
     norm = pairing(alpha, alpha) // 2
     total: dict = {}
-    for label, coeff in v.terms.items():
-        beta, mus = label
-        base = norm + pairing(alpha, beta)
+    for (beta, mus), coeff in v.terms.items():
+        target = m - norm - pairing(alpha, beta)
         out_beta = tuple(b + a for b, a in zip(beta, alpha))
-        room = sum(sum(mu) for mu in mus)
-        for b in range(room + 1):
-            a = m - base + b
-            if a < 0:
-                continue
-            for shapes1, c1 in _exp_coeff_on_shapes(alpha, -1, b, mus).items():
-                for shapes2, c2 in _exp_coeff_on_shapes(
-                    alpha, 1, a, shapes1
-                ).items():
-                    key = (out_beta, shapes2)
-                    total[key] = total.get(key, 0) + coeff * c1 * c2
+        sign = -coeff if target % 2 else coeff
+        for shapes, n in fock._field_on_shapes(alpha, target, mus).items():
+            key = (out_beta, shapes)
+            total[key] = total.get(key, 0) + sign * n
     return Vec(total)
 
 
@@ -278,13 +231,11 @@ def parse_generator(g: str) -> tuple[str, int, int | None]:
 
 def _fk_root(alpha, m: int, f_type: bool, v: Vec, l: int) -> Vec:
     """The dressed root mode eps(alpha, alpha)^[f_type] eps(alpha, beta)
-    X_m(alpha) on each [beta] x b of v."""
+    X_m(alpha) on each [beta] x b of v. The dressing is diagonal and the
+    mode linear, so v is dressed first and the mode applied once."""
     dress = epsilon(alpha, alpha, l) if f_type else 1
-    total = Vec.zero()
-    for label, coeff in v.terms.items():
-        sign = dress * epsilon(alpha, label[0], l)
-        total = total + sign * vertex_coeff(alpha, m, Vec({label: coeff}), l)
-    return total
+    signed = {label: dress * epsilon(alpha, label[0], l) * c for label, c in v.terms.items()}
+    return vertex_coeff(alpha, m, Vec(signed), l)
 
 
 def fk_e(i: int, v: Vec, l: int) -> Vec:
@@ -472,6 +423,8 @@ def verify_intertwining(l: int, max_degree: int, generators=None) -> dict:
                         "rhs": fk_vec_json(rhs),
                     }
                 )
+    # stable: within one shape, failures keep the generator order
+    failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
     return {
         "status": "ok" if not failures else "mismatch",
         "l": l,

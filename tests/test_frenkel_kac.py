@@ -79,8 +79,6 @@ def test_lattice_frozen():
     assert fk.epsilon(fk.theta(3), fk.theta(3), 3) == -1
     with pytest.raises(ValueError):
         fk.simple_root(0, 3)
-    with pytest.raises(ValueError):
-        fk.check_lattice_vector((1, 0), 2)
 
 
 @st.composite
@@ -122,6 +120,30 @@ def test_transport_frozen():
     assert fk.transport(Vec.basis((2,)), 2) == Vec.basis(((0, 0), ((1,), ())))
 
 
+def twisted_gamma(sign: int, d: int, inverse: bool, lam) -> dict:
+    """Half-vertex of the twisted strand boson: the plain strip kernel
+    conjugated by shape transposition, built here independently of
+    fock's field kernel."""
+    flipped = fock._gamma_on_shape(sign, d, inverse, pt.transpose(lam))
+    return {pt.transpose(mu): coeff for mu, coeff in flipped.items()}
+
+
+def test_transposition_flips_inverse_and_twists_by_degree():
+    """The twist behind vertex_coeff's (-1)^target: conjugating the plain
+    kernel by transposition flips `inverse` and multiplies by (-1)^d."""
+    cases = 0
+    for lam in partitions_up_to(9):
+        for d in range(7):
+            twist = -1 if d % 2 else 1
+            for sign in (1, -1):
+                for inverse in (False, True):
+                    plain = fock._gamma_on_shape(sign, d, not inverse, lam)
+                    want = {mu: twist * coeff for mu, coeff in plain.items()}
+                    assert twisted_gamma(sign, d, inverse, lam) == want
+                    cases += 1
+    assert cases == 2716
+
+
 def strand_field_coeff(kind: str, j, k_index: int, v: Vec) -> Vec:
     """Modes of the paired strand fermion fields on the lattice Fock space.
 
@@ -154,8 +176,8 @@ def strand_field_coeff(kind: str, j, k_index: int, v: Vec) -> Vec:
             a = target + b
             if a < 0 or a != int(a):
                 continue
-            for mid, c1 in fk._twisted_gamma_on_shape(-1, b, minus_inverse, shape).items():
-                for mu, c2 in fk._twisted_gamma_on_shape(1, int(a), plus_inverse, mid).items():
+            for mid, c1 in twisted_gamma(-1, b, minus_inverse, shape).items():
+                for mu, c2 in twisted_gamma(1, int(a), plus_inverse, mid).items():
                     new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
                     key = (out_beta, new)
                     total[key] = total.get(key, 0) + coeff * c1 * c2
@@ -213,10 +235,11 @@ def alpha_mode(alpha, n, shapes):
 
 
 def power_sum_exponential(alpha, sign, d, mus):
-    """Oracle for fk._exp_coeff_on_shapes: expand exp(sum_n z^n alpha(-n)/n)
-    (sign=+1) or exp(-sum_n z^-n alpha(n)/n) (sign=-1) over partitions nu of
-    d with weights 1/z_nu. The sum is kept as an integer multiple of 1/d!,
-    d!/z_nu being the number of permutations of cycle type nu."""
+    """Oracle for (-1)^d fock._exp_on_shapes: expand exp(sum_n z^n
+    alpha(-n)/n) (sign=+1) or exp(-sum_n z^-n alpha(n)/n) (sign=-1), alpha(n)
+    the twisted strand boson, over partitions nu of d with weights 1/z_nu.
+    The sum is kept as an integer multiple of 1/d!, d!/z_nu being the number
+    of permutations of cycle type nu."""
     total = {}
     for nu in enumerate_partitions(d):
         coeff = factorial(d)
@@ -241,9 +264,10 @@ def power_sum_exponential(alpha, sign, d, mus):
 
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_strand_kernel_matches_power_sum_exponential(l):
-    """The product of strand strip kernels equals the power-sum expansion on
-    every quotient tuple of total size <= 4, d <= 4, both signs, for the
-    roots +-alpha_i, +-theta and a vector with a +-2 coordinate."""
+    """The product of plain strand strip kernels, times (-1)^d, equals the
+    twisted power-sum expansion on every quotient tuple of total size <= 4,
+    d <= 4, both signs, for the roots +-alpha_i, +-theta and a vector with a
+    +-2 coordinate."""
     roots = [fk.simple_root(i, l) for i in range(1, l)] + [fk.theta(l)]
     roots.append((2, -2) if l == 2 else (2, -1) + (0,) * (l - 3) + (-1,))
     alphas = roots + [tuple(-x for x in root) for root in roots]
@@ -255,9 +279,11 @@ def test_strand_kernel_matches_power_sum_exponential(l):
     for alpha in alphas:
         for mus in tuples:
             for d in range(5):
+                twist = -1 if d % 2 else 1
                 for sign in (1, -1):
-                    got = fk._exp_coeff_on_shapes(alpha, sign, d, mus)
-                    assert got == power_sum_exponential(alpha, sign, d, mus)
+                    got = fock._exp_on_shapes(alpha, sign, d, mus)
+                    want = power_sum_exponential(alpha, sign, d, mus)
+                    assert {k: twist * c for k, c in got.items()} == want
                     assert all(type(c) is int for c in got.values())
 
 
@@ -285,6 +311,32 @@ def test_intertwining_suite_small():
         assert report["failures"] == []
     with pytest.raises(ValueError):
         fk.verify_intertwining(2, -1)
+
+
+def test_intertwining_failures_smallest_shape_first(monkeypatch):
+    # e_0 broken on shapes of size 3 fails in the first generator sweep,
+    # f_1 and h_1 broken on size 1 only in later sweeps, yet (1,) comes
+    # first, its two failures in generator order
+    plain = fk.explicit_action
+
+    def broken(g, v, l):
+        out = plain(g, v, l)
+        (lam,) = v.terms
+        return -out if (g, sum(lam)) in (("e_0", 3), ("f_1", 1), ("h_1", 1)) else out
+
+    monkeypatch.setattr(fk, "explicit_action", broken)
+    failures = fk.verify_intertwining(2, 4)["failures"]
+    keys = [fk.shape_sort_key(f["lambda"]["partition"]) for f in failures]
+    assert keys == sorted(keys)
+    assert {k[0] for k in keys} == {1, 3}
+    assert [(f["generator"], f["lambda"]) for f in failures[:2]] == [
+        ("f_1", {"partition": [1]}),
+        ("h_1", {"partition": [1]}),
+    ]
+    gens = fk.default_generators(2)
+    for a, b in zip(failures, failures[1:]):
+        if a["lambda"] == b["lambda"]:
+            assert gens.index(a["generator"]) < gens.index(b["generator"])
 
 
 def test_relations_suite_small():

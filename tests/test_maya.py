@@ -29,6 +29,21 @@ def test_constructor_validates():
         Maya(particles_below=[1])  # not a half-integer
 
 
+def test_bead_is_the_integer_position():
+    for n in range(-15, 17, 2):
+        h = Fraction(n, 2)
+        assert maya.bead(h) == int(maya._check_half_integer(h) - HALF)
+        assert type(maya.bead(h)) is int
+    assert maya.bead("-3/2") == -2
+    for bad in (1, Fraction(1, 3), "1"):
+        with pytest.raises(ValueError) as want:
+            maya._check_half_integer(bad)
+        with pytest.raises(ValueError) as got:
+            maya.bead(bad)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("position must be a half-integer: ")
+
+
 def test_from_partition_particles():
     # particle positions of a partition are j - 1/2 - lam_j
     m = maya.from_partition((2, 1))
