@@ -190,28 +190,21 @@ def cmd_act(args) -> int:
     return 0
 
 
-_SUITES = ("boson-fermion", "frenkel-kac", "geometric", "fixed-points", "relations")
-
-
-def _run_suite(name: str, l: int, degree: int) -> dict:
-    if name == "boson-fermion":
-        return fock.verify_boson_fermion(max_degree=degree, max_charge=2)
-    if name == "frenkel-kac":
-        return frenkel_kac.verify_intertwining(l, degree)
-    if name == "geometric":
-        return equivariant.verify_geometric_match(l, degree)
-    if name == "fixed-points":
-        return equivariant.verify_fixed_points(l, degree)
-    return frenkel_kac.verify_relations(l, degree)
+# Suite name to runner(l, degree), in the order `--suite all` runs them.
+_SUITES = {
+    "boson-fermion": lambda l, degree: fock.verify_boson_fermion(degree, max_charge=2),
+    "frenkel-kac": frenkel_kac.verify_intertwining,
+    "geometric": equivariant.verify_geometric_match,
+    "fixed-points": equivariant.verify_fixed_points,
+    "relations": frenkel_kac.verify_relations,
+}
 
 
 def cmd_verify(args) -> int:
     l = _check_l(args.l)
     _check_degree(args.degree)
     names = _SUITES if args.suite == "all" else (args.suite,)
-    reports = {}
-    for name in names:
-        reports[name] = _run_suite(name, l, args.degree)
+    reports = {name: _SUITES[name](l, args.degree) for name in names}
     ok = all(rep["status"] == "ok" for rep in reports.values())
     if args.suite == "all":
         out = {

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import core_quotient, maya
+from . import core_quotient, fock, maya
 from .frenkel_kac import explicit_e, shape_label_json
 from .partitions import (
     LaurentPoly,
     Vec,
     addable_of_residue,
     as_partition,
+    check_l,
     check_residue,
     content,
     diagonal_char,
@@ -36,13 +37,6 @@ from .partitions import (
 )
 
 
-def _check_l(l: int) -> int:
-    l = int(l)
-    if l < 2:
-        raise ValueError(f"need at least two residue classes: {l}")
-    return l
-
-
 # ------------------------------------------------------------- characters
 
 def fixed_point_char(lam) -> LaurentPoly:
@@ -54,7 +48,7 @@ def fixed_point_char(lam) -> LaurentPoly:
 def tangent_char_point(lam, l: int) -> LaurentPoly:
     """Tangent character read off the diagram: t^h + t^-h for every node
     whose hook length h is divisible by l."""
-    l = _check_l(l)
+    l = check_l(l)
     out: dict = {}
     for h in hook_lengths(as_partition(lam)).values():
         if h % l == 0:
@@ -73,7 +67,7 @@ def tangent_char_formula(mu, l: int) -> LaurentPoly:
     degree-zero graded piece of (t + t^-1 - 2) V* V + V + V* equals
     tangent_char_point; the two routes are independent.
     """
-    l = _check_l(l)
+    l = check_l(l)
     v = fixed_point_char(mu)
     vstar = v.compose_power(-1)
     return (_T_PAIR * vstar * v + v + vstar).keep_residue(l, 0)
@@ -98,7 +92,7 @@ def normal_char(mu, lam, i: int, l: int) -> LaurentPoly:
     c(A)) per addable i-node A of lam minus one weight t^(c(X) - c(R)) per
     removable i-node R of mu, X the node removed.
     """
-    l = _check_l(l)
+    l = check_l(l)
     i = check_residue(i, l)
     lam, mu = as_partition(lam), as_partition(mu)
     x = _removed_node(lam, mu)
@@ -115,7 +109,7 @@ def normal_char(mu, lam, i: int, l: int) -> LaurentPoly:
 def infinity_chamber_char(c, q, l: int) -> LaurentPoly:
     """Character of the fixed point labelled by core/quotient data in the
     opposite chamber: the blockwise core-plus-inflated-quotients sum."""
-    return core_quotient.quotient_char_rhs(c, q, _check_l(l))
+    return core_quotient.quotient_char_rhs(c, q, check_l(l))
 
 
 def points_vector(c, n: int, l: int) -> tuple[int, ...]:
@@ -125,7 +119,7 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
     (1/2) sum c_k^2; equals residue_counts of the partition with core c and
     total quotient size n. Raises when no non-negative solution exists.
     """
-    l = _check_l(l)
+    l = check_l(l)
     c = core_quotient.check_core_vector(c, l)
     n = int(n)
     if n < 0:
@@ -143,7 +137,7 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
 def euler_pairing_diag(lam, l: int) -> int:
     """Product of all tangent weights at the fixed point (an integer,
     sign included): each qualifying hook contributes h * (-h)."""
-    l = _check_l(l)
+    l = check_l(l)
     value = 1
     for h in hook_lengths(as_partition(lam)).values():
         if h % l == 0:
@@ -153,7 +147,7 @@ def euler_pairing_diag(lam, l: int) -> int:
 
 def normalization(lam, l: int) -> int:
     """Product of the negative tangent weights: (-h) per qualifying hook."""
-    l = _check_l(l)
+    l = check_l(l)
     value = 1
     for h in hook_lengths(as_partition(lam)).values():
         if h % l == 0:
@@ -171,7 +165,7 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
     residue counts v of lam. Distinct boundary nodes of one class have
     distinct contents, so no factor vanishes.
     """
-    l = _check_l(l)
+    l = check_l(l)
     i = check_residue(i, l)
     lam, mu = as_partition(lam), as_partition(mu)
     x = _removed_node(lam, mu)
@@ -191,7 +185,7 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
 def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:
     """Maya positions (x, x + n*l), n > 0, with a particle at x and a hole
     at x + n*l; the gaps run over the l-divisible hook lengths of lam."""
-    l = _check_l(l)
+    l = check_l(l)
     lam = as_partition(lam)
     m = maya.from_partition(lam)
     lo = maya.HALF - (lam[0] if lam else 0)
@@ -214,7 +208,7 @@ def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:
 
 def verify_fixed_points(l: int, max_degree: int) -> dict:
     """Both chamber characters across the bijection, for all small shapes."""
-    l = _check_l(l)
+    l = check_l(l)
     failures = []
     for lam in partitions_up_to(max_degree):
         c, q = core_quotient.core_and_quotient(lam, l)
@@ -222,22 +216,12 @@ def verify_fixed_points(l: int, max_degree: int) -> dict:
         rhs = infinity_chamber_char(c, q, l)
         if lhs != rhs:
             failures.append(
-                {
-                    "generator": "chamber",
-                    "lambda": shape_label_json(lam),
-                    "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(),
-                }
+                fock.failure("chamber", shape_label_json(lam), lhs.to_json(), rhs.to_json())
             )
-    return {
-        "status": "ok" if not failures else "mismatch",
-        "l": l,
-        "degree": max_degree,
-        "failures": failures,
-    }
+    return fock.report(failures, l=l, degree=max_degree)
 
 
-def verify_geometric_match(l: int, max_degree: int, parity_degree=None) -> dict:
+def verify_geometric_match(l: int, max_degree: int) -> dict:
     """Localization coefficients against the explicit action, plus the
     boundary-scan parity congruence.
 
@@ -247,48 +231,31 @@ def verify_geometric_match(l: int, max_degree: int, parity_degree=None) -> dict:
     must satisfy eta_left + eta_right = c_{i-1/2} + c_{i+1/2} + 1 +
     delta_{i,0} (mod 2) with the core-vector components wrapped cyclically.
     """
-    l = _check_l(l)
-    if parity_degree is None:
-        parity_degree = max_degree
+    l = check_l(l)
     failures = []
-    # graded order makes the shorter enumeration a prefix of the longer
-    shapes = max(partitions_up_to(max_degree), partitions_up_to(parity_degree), key=len)
-    for lam in shapes:
-        n = sum(lam)
+    for lam in partitions_up_to(max_degree):
         c, _ = core_quotient.core_and_quotient(lam, l)
         for i in range(l):
-            image = explicit_e(i, Vec.basis(lam), l) if n <= max_degree else None
+            image = explicit_e(i, Vec.basis(lam), l)
             for x in removable_of_residue(lam, i, l):
                 mu = remove_node(lam, x)
-                if image is not None:
-                    want = image.coeff(mu)
-                    got = geometric_e(i, lam, mu, l) * Fraction(
-                        normalization(mu, l), normalization(lam, l)
+                want = image.coeff(mu)
+                got = geometric_e(i, lam, mu, l) * Fraction(
+                    normalization(mu, l), normalization(lam, l)
+                )
+                if got != want:
+                    failures.append(
+                        fock.failure(f"e_{i}", shape_label_json(lam), str(got), str(want))
                     )
-                    if got != want:
-                        failures.append(
-                            {
-                                "generator": f"e_{i}",
-                                "lambda": shape_label_json(lam),
-                                "lhs": str(got),
-                                "rhs": str(want),
-                            }
+                scans = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
+                wrapped = c[(i - 1) % l] + c[i] + 1 + (1 if i == 0 else 0)
+                if (scans - wrapped) % 2:
+                    failures.append(
+                        fock.failure(
+                            f"parity_{i}",
+                            shape_label_json(lam),
+                            str(scans % 2),
+                            str(wrapped % 2),
                         )
-                if n <= parity_degree:
-                    scans = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
-                    wrapped = c[(i - 1) % l] + c[i] + 1 + (1 if i == 0 else 0)
-                    if (scans - wrapped) % 2:
-                        failures.append(
-                            {
-                                "generator": f"parity_{i}",
-                                "lambda": shape_label_json(lam),
-                                "lhs": str(scans % 2),
-                                "rhs": str(wrapped % 2),
-                            }
-                        )
-    return {
-        "status": "ok" if not failures else "mismatch",
-        "l": l,
-        "degree": max_degree,
-        "failures": failures,
-    }
+                    )
+    return fock.report(failures, l=l, degree=max_degree)

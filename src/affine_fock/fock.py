@@ -344,19 +344,14 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
                 kernel = fermion_field_coeff(kind, j, v)
                 if direct != kernel:
                     failures.append(
-                        {
-                            "generator": f"{kind}({j})",
-                            "lambda": {"charge": label[0], "partition": list(label[1])},
-                            "lhs": vec_json(direct),
-                            "rhs": vec_json(kernel),
-                        }
+                        failure(
+                            f"{kind}({j})",
+                            fock_label_json(label),
+                            vec_json(direct),
+                            vec_json(kernel),
+                        )
                     )
-    return {
-        "status": "ok" if not failures else "mismatch",
-        "degree": max_degree,
-        "charge_bound": max_charge,
-        "failures": failures,
-    }
+    return report(failures, degree=max_degree, charge_bound=max_charge)
 
 
 def fock_label_json(label) -> dict:
@@ -370,6 +365,18 @@ def vec_json(v: Vec, label_json=fock_label_json, sort_key=label_sort_key) -> lis
         {"coeff": str(v.terms[label]), "label": label_json(label)}
         for label in sorted(v.terms, key=sort_key)
     ]
+
+
+def failure(generator: str, label_json: dict, lhs, rhs) -> dict:
+    """One entry of a suite's failures list: the generator or relation, the
+    JSON label it failed on, and the two sides in JSON form."""
+    return {"generator": generator, "lambda": label_json, "lhs": lhs, "rhs": rhs}
+
+
+def report(failures: list, **fields) -> dict:
+    """A suite report: status, the suite's own fields in the given order,
+    then the failures. The status is "ok" exactly when nothing failed."""
+    return {"status": "mismatch" if failures else "ok", **fields, "failures": failures}
 
 
 def operator_matrix(apply_fn, source_labels, sort_key):

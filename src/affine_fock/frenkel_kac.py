@@ -46,6 +46,7 @@ from . import core_quotient, fock
 from .partitions import (
     Vec,
     add_node,
+    check_l,
     check_residue,
     partitions_up_to,
     remove_node,
@@ -77,8 +78,7 @@ def simple_root(i: int, l: int) -> tuple[int, ...]:
 
 def theta(l: int) -> tuple[int, ...]:
     """Highest root: sum of all simple roots."""
-    if l < 2:
-        raise ValueError("need at least two strands")
+    l = check_l(l)
     return (1,) + (0,) * (l - 2) + (-1,)
 
 
@@ -107,8 +107,7 @@ def epsilon(alpha, beta, l: int) -> int:
 
 def cartan_matrix(l: int) -> list[list[int]]:
     """Affine Cartan matrix on the residues 0..l-1 (cyclic)."""
-    if l < 2:
-        raise ValueError("need at least two residues")
+    l = check_l(l)
     a = [[0] * l for _ in range(l)]
     for i in range(l):
         a[i][i] = 2
@@ -394,43 +393,30 @@ def fk_vec_json(v: Vec) -> list:
     return fock.vec_json(v, fk_label_json, fk_label_sort_key)
 
 
-def default_generators(l: int, include_p: bool = True) -> list[str]:
-    gens = []
-    for kind in ("e", "f", "h"):
-        gens.extend(f"{kind}_{i}" for i in range(l))
-    if include_p:
-        gens.extend(f"p_{i}({m})" for i in range(l) for m in (1, -1, 2, -2))
+def default_generators(l: int) -> list[str]:
+    gens = [f"{kind}_{i}" for kind in ("e", "f", "h") for i in range(l)]
+    gens.extend(f"p_{i}({m})" for i in range(l) for m in (1, -1, 2, -2))
     return gens
 
 
-def verify_intertwining(l: int, max_degree: int, generators=None) -> dict:
-    """Check transport(explicit g) = fk g(transport) on all small shapes."""
-    if generators is None:
-        generators = default_generators(l)
+def verify_intertwining(l: int, max_degree: int) -> dict:
+    """Check transport(explicit g) = fk g(transport) on all small shapes,
+    for every generator of default_generators."""
+    l = check_l(l)
     failures = []
     shapes = partitions_up_to(max_degree)
-    for g in generators:
+    for g in default_generators(l):
         for lam in shapes:
             v = Vec.basis(lam)
             lhs = transport(explicit_action(g, v, l), l)
             rhs = fk_action(g, transport(v, l), l)
             if lhs != rhs:
                 failures.append(
-                    {
-                        "generator": g,
-                        "lambda": shape_label_json(lam),
-                        "lhs": fk_vec_json(lhs),
-                        "rhs": fk_vec_json(rhs),
-                    }
+                    fock.failure(g, shape_label_json(lam), fk_vec_json(lhs), fk_vec_json(rhs))
                 )
     # stable: within one shape, failures keep the generator order
     failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
-    return {
-        "status": "ok" if not failures else "mismatch",
-        "l": l,
-        "degree": max_degree,
-        "failures": failures,
-    }
+    return fock.report(failures, l=l, degree=max_degree)
 
 
 def verify_relations(l: int, max_degree: int) -> dict:
@@ -440,6 +426,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
     kept in a dict local to the call, so a patched sign convention is seen
     by the next call. Failures are listed smallest shape first.
     """
+    l = check_l(l)
     failures = []
     cartan = cartan_matrix(l)
     images: dict = {}
@@ -463,12 +450,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
 
     def record(name, lam, lhs, rhs):
         failures.append(
-            {
-                "generator": name,
-                "lambda": shape_label_json(lam),
-                "lhs": shape_vec_json(lhs),
-                "rhs": shape_vec_json(rhs),
-            }
+            fock.failure(name, shape_label_json(lam), shape_vec_json(lhs), shape_vec_json(rhs))
         )
 
     shapes = partitions_up_to(max_degree)
@@ -507,9 +489,4 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             record(f"serre {x},{y}", lam, lhs, Vec.zero())
     # stable: within one shape, failures keep the (i, j) loop order
     failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
-    return {
-        "status": "ok" if not failures else "mismatch",
-        "l": l,
-        "degree": max_degree,
-        "failures": failures,
-    }
+    return fock.report(failures, l=l, degree=max_degree)

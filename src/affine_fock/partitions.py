@@ -203,6 +203,16 @@ def diagonal_char(lam: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(counts)
 
 
+def check_l(l: int) -> int:
+    """The number of residue classes of the affine action, at least two.
+    (Strand and abacus routines also take l = 1 and keep their own check.)
+    """
+    l = int(l)
+    if l < 2:
+        raise ValueError(f"need at least two residue classes: {l}")
+    return l
+
+
 def check_residue(i: int, l: int) -> int:
     """A residue class mod l, given by its representative 0..l-1."""
     if not 0 <= i <= l - 1:

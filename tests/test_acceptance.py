@@ -92,7 +92,7 @@ def test_07_tangent_two_formulas_and_hook_bijection(capsys):
 
 
 def test_08_geometric_coefficients_match(capsys):
-    reports = [eq.verify_geometric_match(l, 6, parity_degree=10) for l in (2, 3)]
+    reports = [eq.verify_geometric_match(l, 10) for l in (2, 3)]
     ok = all(r["status"] == "ok" and r["failures"] == [] for r in reports)
     _report(capsys, ok, "08 localization coefficients match the explicit action, parity congruence (l in {2,3})")
     assert ok, [r["failures"][:3] for r in reports]

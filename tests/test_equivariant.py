@@ -152,11 +152,7 @@ def test_fixed_point_suite():
 
 
 def test_geometric_match_suite():
-    report = eq.verify_geometric_match(2, 5)
-    assert report["status"] == "ok"
-    report = eq.verify_geometric_match(3, 4, parity_degree=6)
-    assert report["status"] == "ok"
+    for l, degree in ((2, 5), (3, 6)):
+        assert eq.verify_geometric_match(l, degree)["status"] == "ok"
     with pytest.raises(ValueError):
         eq.verify_geometric_match(2, -1)
-    with pytest.raises(ValueError):
-        eq.verify_geometric_match(2, 3, parity_degree=-1)

@@ -301,7 +301,6 @@ def test_default_generators():
     gens = fk.default_generators(2)
     assert len(gens) == 14
     assert gens[:6] == ["e_0", "e_1", "f_0", "f_1", "h_0", "h_1"]
-    assert fk.default_generators(2, include_p=False) == gens[:6]
 
 
 def test_intertwining_suite_small():

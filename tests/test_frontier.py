@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from affine_fock import cli
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
 
 
@@ -37,3 +39,7 @@ def test_real_cli_ends_the_climb():
     best, best_s, nxt, outcome = load_frontier().frontier("relations", 1, 10.0, 0)
     assert (best, best_s, nxt) == (None, None, 0)
     assert outcome.startswith("exit 2 after ")
+
+
+def test_frontier_climbs_every_cli_suite():
+    assert set(load_frontier().SUITES) == set(cli._SUITES)

@@ -1,0 +1,93 @@
+"""The contract shared by the five verify suites: one check of l, and
+mismatch reports that stay byte-identical."""
+
+import hashlib
+import json
+import re
+
+import pytest
+
+from affine_fock import cli
+from affine_fock import equivariant as eq
+from affine_fock import fock
+from affine_fock import frenkel_kac as fk
+from affine_fock.partitions import LaurentPoly
+
+SUITES_WITH_L = [
+    fk.verify_intertwining,
+    fk.verify_relations,
+    eq.verify_geometric_match,
+    eq.verify_fixed_points,
+]
+
+
+@pytest.mark.parametrize("l", [-1, 0, 1])
+@pytest.mark.parametrize("suite", SUITES_WITH_L, ids=lambda f: f.__name__)
+def test_bad_l_is_rejected_not_passed(suite, l):
+    with pytest.raises(ValueError, match=re.escape(f"need at least two residue classes: {l}")):
+        suite(l, 3)
+
+
+def _scan_right(monkeypatch):
+    monkeypatch.setattr(fk, "ETA_SCAN_SIDE", "right")
+
+
+def _fermion_sign_plus(monkeypatch):
+    monkeypatch.setattr(fock, "FERMION_SIGN", 1)
+
+
+def _shifted_chamber_char(monkeypatch):
+    plain = eq.fixed_point_char
+
+    def shifted(lam):
+        out = plain(lam)
+        return out + LaurentPoly({0: 1}) if sum(lam) == 3 else out
+
+    monkeypatch.setattr(eq, "fixed_point_char", shifted)
+
+
+def _negated_e_1(monkeypatch):
+    plain = fk.explicit_action
+
+    def negated(g, v, l):
+        out = plain(g, v, l)
+        return -out if g == "e_1" else out
+
+    monkeypatch.setattr(fk, "explicit_action", negated)
+
+
+# (suite, l, degree, the layer to break, sha256 of the mismatch report)
+MISMATCHES = [
+    (
+        "frenkel-kac", 3, 4, _scan_right,
+        "e9f8c10aadf3be742b9d8e0c40de8352753e1daf51906273ab56a7a1035eace4",
+    ),
+    (
+        "geometric", 3, 4, _scan_right,
+        "333163cababd7655211cf2311a80a479bfb44d54939b61f69bbd024d9b605adc",
+    ),
+    (
+        "boson-fermion", 2, 4, _fermion_sign_plus,
+        "bbbd5a099190f20ed50c2dae47cce99d3a43452a41f6d05bffc12f148fe130d4",
+    ),
+    (
+        "fixed-points", 3, 4, _shifted_chamber_char,
+        "a8568bae6efa60398a291741477e1032b0b8ec10f9f3ca5664abf34bf1707405",
+    ),
+    (
+        "relations", 3, 4, _negated_e_1,
+        "a0959814d57402a88b044ca211984e49e9e566502900e52d20d9a7405122db0e",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, l, degree, breaks, digest", MISMATCHES, ids=[m[0] for m in MISMATCHES]
+)
+def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, digest):
+    breaks(monkeypatch)
+    code = cli.main(["verify", "--suite", suite, "--l", str(l), "--degree", str(degree)])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert code == 1 and report["status"] == "mismatch" and report["failures"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
