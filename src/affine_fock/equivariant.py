@@ -15,8 +15,9 @@ checks the localization coefficients and the boundary-scan parity congruence.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from . import core_quotient, fock, maya
+from . import core_quotient, fock
 from .frenkel_kac import explicit_e, shape_label_json
 from .partitions import (
     LaurentPoly,
@@ -45,15 +46,20 @@ def fixed_point_char(lam) -> LaurentPoly:
     return diagonal_char(as_partition(lam))
 
 
+def _divisible_hooks(lam, l: int) -> list[int]:
+    """The hook lengths of lam divisible by l, one per such node: the
+    tangent weights at the fixed point are +-h over them."""
+    l = check_l(l)
+    return [h for h in hook_lengths(as_partition(lam)).values() if h % l == 0]
+
+
 def tangent_char_point(lam, l: int) -> LaurentPoly:
     """Tangent character read off the diagram: t^h + t^-h for every node
     whose hook length h is divisible by l."""
-    l = check_l(l)
     out: dict = {}
-    for h in hook_lengths(as_partition(lam)).values():
-        if h % l == 0:
-            out[h] = out.get(h, 0) + 1
-            out[-h] = out.get(-h, 0) + 1
+    for h in _divisible_hooks(lam, l):
+        out[h] = out.get(h, 0) + 1
+        out[-h] = out.get(-h, 0) + 1
     return LaurentPoly(out)
 
 
@@ -137,22 +143,12 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
 def euler_pairing_diag(lam, l: int) -> int:
     """Product of all tangent weights at the fixed point (an integer,
     sign included): each qualifying hook contributes h * (-h)."""
-    l = check_l(l)
-    value = 1
-    for h in hook_lengths(as_partition(lam)).values():
-        if h % l == 0:
-            value *= -h * h
-    return value
+    return prod(-h * h for h in _divisible_hooks(lam, l))
 
 
 def normalization(lam, l: int) -> int:
     """Product of the negative tangent weights: (-h) per qualifying hook."""
-    l = check_l(l)
-    value = 1
-    for h in hook_lengths(as_partition(lam)).values():
-        if h % l == 0:
-            value *= -h
-    return value
+    return prod(-h for h in _divisible_hooks(lam, l))
 
 
 def geometric_e(i: int, lam, mu, l: int) -> Fraction:
@@ -184,20 +180,18 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
 
 def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:
     """Maya positions (x, x + n*l), n > 0, with a particle at x and a hole
-    at x + n*l; the gaps run over the l-divisible hook lengths of lam."""
+    at x + n*l; the gaps run over the l-divisible hook lengths of lam.
+
+    Read off the integer beads (position minus 1/2): the particles a -
+    lam[a], increasing, and the holes, the other integers in [-lam[0],
+    len(lam)); nothing outside that range has a partner.
+    """
     l = check_l(l)
     lam = as_partition(lam)
-    m = maya.from_partition(lam)
-    lo = maya.HALF - (lam[0] if lam else 0)
-    hi = max(m.holes_above, default=-maya.HALF)
-    particles = []
-    holes = []
-    h = lo
-    while h <= hi:
-        (particles if maya.evaluate(m, h) == 1 else holes).append(h)
-        h += 1
+    particles = [a - row for a, row in enumerate(lam)]
+    holes = sorted(set(range(-lam[0] if lam else 0, len(lam))) - set(particles))
     return [
-        (x, y)
+        (Fraction(2 * x + 1, 2), Fraction(2 * y + 1, 2))
         for x in particles
         for y in holes
         if y > x and (y - x) % l == 0
@@ -233,16 +227,17 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
     """
     l = check_l(l)
     failures = []
-    for lam in partitions_up_to(max_degree):
+    shapes = partitions_up_to(max_degree)
+    # every mu = lam minus a node is itself in the slice
+    norm = {lam: normalization(lam, l) for lam in shapes}
+    for lam in shapes:
         c, _ = core_quotient.core_and_quotient(lam, l)
         for i in range(l):
             image = explicit_e(i, Vec.basis(lam), l)
             for x in removable_of_residue(lam, i, l):
                 mu = remove_node(lam, x)
                 want = image.coeff(mu)
-                got = geometric_e(i, lam, mu, l) * Fraction(
-                    normalization(mu, l), normalization(lam, l)
-                )
+                got = geometric_e(i, lam, mu, l) * Fraction(norm[mu], norm[lam])
                 if got != want:
                     failures.append(
                         fock.failure(f"e_{i}", shape_label_json(lam), str(got), str(want))

@@ -401,21 +401,25 @@ def default_generators(l: int) -> list[str]:
 
 def verify_intertwining(l: int, max_degree: int) -> dict:
     """Check transport(explicit g) = fk g(transport) on all small shapes,
-    for every generator of default_generators."""
+    for every generator of default_generators.
+
+    Shapes are the outer loop, so each source shape is transported once
+    and failures come out smallest shape first, in generator order within
+    one shape.
+    """
     l = check_l(l)
     failures = []
-    shapes = partitions_up_to(max_degree)
-    for g in default_generators(l):
-        for lam in shapes:
-            v = Vec.basis(lam)
+    generators = default_generators(l)
+    for lam in partitions_up_to(max_degree):
+        v = Vec.basis(lam)
+        transported = transport(v, l)
+        for g in generators:
             lhs = transport(explicit_action(g, v, l), l)
-            rhs = fk_action(g, transport(v, l), l)
+            rhs = fk_action(g, transported, l)
             if lhs != rhs:
                 failures.append(
                     fock.failure(g, shape_label_json(lam), fk_vec_json(lhs), fk_vec_json(rhs))
                 )
-    # stable: within one shape, failures keep the generator order
-    failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
     return fock.report(failures, l=l, degree=max_degree)
 
 
@@ -424,7 +428,8 @@ def verify_relations(l: int, max_degree: int) -> dict:
 
     Each generator's image of each shape is computed once per call and
     kept in a dict local to the call, so a patched sign convention is seen
-    by the next call. Failures are listed smallest shape first.
+    by the next call. Shapes are the outer loop, so failures come out
+    smallest shape first, in (i, j) order within one shape.
     """
     l = check_l(l)
     failures = []
@@ -453,12 +458,11 @@ def verify_relations(l: int, max_degree: int) -> dict:
             fock.failure(name, shape_label_json(lam), shape_vec_json(lhs), shape_vec_json(rhs))
         )
 
-    shapes = partitions_up_to(max_degree)
-    for i in range(l):
-        for j in range(l):
-            for lam in shapes:
-                v = Vec.basis(lam)
-                room = max_degree - sum(lam)
+    for lam in partitions_up_to(max_degree):
+        v = Vec.basis(lam)
+        room = max_degree - sum(lam)
+        for i in range(l):
+            for j in range(l):
                 # [h_i, e_j] = A_ij e_j needs no headroom (e lowers degree)
                 lhs = bracket(f"h_{i}", f"e_{j}", v)
                 rhs = cartan[i][j] * image(f"e_{j}", lam)
@@ -487,6 +491,4 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             lhs = lhs + sign * comb(power, k) * apply_word(word, v)
                         if lhs:
                             record(f"serre {x},{y}", lam, lhs, Vec.zero())
-    # stable: within one shape, failures keep the (i, j) loop order
-    failures.sort(key=lambda f: shape_sort_key(f["lambda"]["partition"]))
     return fock.report(failures, l=l, degree=max_degree)

@@ -204,10 +204,12 @@ def diagonal_char(lam: tuple[int, ...]) -> LaurentPoly:
 
 
 def check_l(l: int) -> int:
-    """The number of residue classes of the affine action, at least two.
-    (Strand and abacus routines also take l = 1 and keep their own check.)
+    """The number of residue classes of the affine action: an int (a float
+    is refused, not truncated), at least two. (Strand and abacus routines
+    also take l = 1 and keep their own check.)
     """
-    l = int(l)
+    if not isinstance(l, int):
+        raise ValueError(f"the number of residue classes must be an int: {l!r}")
     if l < 2:
         raise ValueError(f"need at least two residue classes: {l}")
     return l
@@ -341,26 +343,22 @@ def hook_lengths(lam: tuple[int, ...]) -> dict[tuple[int, int], int]:
 
 
 def add_node(lam: tuple[int, ...], node: tuple[int, int]) -> tuple[int, ...]:
-    if node not in addable_nodes(lam):
-        raise ValueError(f"node {node} is not addable to {lam}")
+    """Add the node ending row a (a = len(lam) opens a new row); row a must
+    be shorter than row a - 1."""
     a, b = node
-    rows = list(lam)
-    if a == len(rows):
-        rows.append(1)
-    else:
-        rows[a] += 1
-    return tuple(rows)
+    if not (0 <= a <= len(lam) and b == (lam[a] if a < len(lam) else 0)
+            and (a == 0 or b < lam[a - 1])):
+        raise ValueError(f"node {node} is not addable to {lam}")
+    return lam[:a] + (b + 1,) + lam[a + 1 :]
 
 
 def remove_node(lam: tuple[int, ...], node: tuple[int, int]) -> tuple[int, ...]:
-    if node not in removable_nodes(lam):
+    """Remove the node ending row a; row a must be longer than row a + 1."""
+    a, b = node
+    if not (0 <= a < len(lam) and b == lam[a] - 1
+            and (a + 1 == len(lam) or lam[a + 1] <= b)):
         raise ValueError(f"node {node} is not removable from {lam}")
-    a, _ = node
-    rows = list(lam)
-    rows[a] -= 1
-    if rows[a] == 0:
-        rows.pop(a)
-    return tuple(rows)
+    return lam[:a] + (b,) + lam[a + 1 :] if b else lam[:a]
 
 
 def enumerate_partitions(n: int) -> list[tuple[int, ...]]:

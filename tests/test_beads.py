@@ -1,5 +1,5 @@
-"""The integer bead routines of fock and frenkel_kac against the Maya
-diagram routines they replaced, which live on here as test oracles.
+"""The integer bead routines of fock, frenkel_kac and equivariant against
+the Maya diagram routines they replaced, which live on here as test oracles.
 
 A label (c, lam) has beads at the integers i - lam_i - c; bead b is the
 Maya particle at b + 1/2, and abacus runner r is the strand r + 1/2.
@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from affine_fock import equivariant as eq
 from affine_fock import fock, maya
 from affine_fock import frenkel_kac as fk
 from affine_fock.fock import Vec
@@ -101,6 +102,26 @@ def maya_strand_hop_on_shape(k, n: int, lam, l: int) -> dict:
     return {shape: coeff for shape, coeff in out.items() if coeff}
 
 
+def maya_hook_pairs(lam, l: int) -> list:
+    """Walk the Maya diagram of lam from 1/2 - lam_1 up to its highest
+    hole; pair each particle x with every hole y > x with l | y - x."""
+    m = maya.from_partition(lam)
+    lo = HALF - (lam[0] if lam else 0)
+    hi = max(m.holes_above, default=-HALF)
+    particles = []
+    holes = []
+    h = lo
+    while h <= hi:
+        (particles if maya.evaluate(m, h) == 1 else holes).append(h)
+        h += 1
+    return [
+        (x, y)
+        for x in particles
+        for y in holes
+        if y > x and (y - x) % l == 0
+    ]
+
+
 HOP_MODES = [n for n in range(-4, 5) if n]
 
 # ------------------------------------------------------------- the pins
@@ -134,6 +155,14 @@ def test_fermions_match_maya_fermions():
             for j in modes:
                 assert fock.psi(j, v) == maya_fermion("psi", j, (c, lam))
                 assert fock.psi_star(j, v) == maya_fermion("psi_star", j, (c, lam))
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_hook_pairs_match_maya_hook_pairs(l):
+    """hook_pairs on beads gives the Maya walk's pairs, in its order, for
+    every |lam| <= 10."""
+    for lam in partitions_up_to(10):
+        assert eq.hook_pairs(lam, l) == maya_hook_pairs(lam, l)
 
 
 def test_every_route_returns_int_coefficients():
@@ -194,3 +223,17 @@ def test_fock_side_imports_no_fractions(module):
             defined.add(node.id)
     assert "fractions" not in imported
     assert not defined & DELETED_NAMES
+
+
+def test_equivariant_imports_no_maya():
+    """equivariant reads beads off the partition; it still needs Fraction
+    for the localization coefficients, so this is not the fractions check."""
+    tree = ast.parse(Path(eq.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(alias.name for alias in node.names)
+    assert "maya" not in imported and "affine_fock.maya" not in imported

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -143,6 +144,45 @@ def test_add_remove_reject_bad_nodes():
         pt.add_node((2, 1), (0, 1))
     with pytest.raises(ValueError):
         pt.remove_node((2, 1), (0, 0))
+
+
+def _row_list_add(lam, node):
+    a, _ = node
+    rows = list(lam) + [0]
+    rows[a] += 1
+    return tuple(r for r in rows if r)
+
+
+def _row_list_remove(lam, node):
+    a, _ = node
+    rows = list(lam)
+    rows[a] -= 1
+    return tuple(r for r in rows if r)
+
+
+def test_node_checks_accept_exactly_the_boundary():
+    """add_node and remove_node check the node against its own row and the
+    neighbouring one: on every |lam| <= 8 and every node in [-1, len + 1] x
+    [-1, lam_1 + 1] they succeed exactly on addable_nodes / removable_nodes,
+    with the row-list result, and raise the same message elsewhere."""
+    for lam in pt.partitions_up_to(8):
+        addable, removable = pt.addable_nodes(lam), pt.removable_nodes(lam)
+        width = lam[0] if lam else 0
+        for a in range(-1, len(lam) + 2):
+            for b in range(-1, width + 2):
+                node = (a, b)
+                if node in addable:
+                    assert pt.add_node(lam, node) == _row_list_add(lam, node)
+                else:
+                    message = re.escape(f"node {node} is not addable to {lam}")
+                    with pytest.raises(ValueError, match=message):
+                        pt.add_node(lam, node)
+                if node in removable:
+                    assert pt.remove_node(lam, node) == _row_list_remove(lam, node)
+                else:
+                    message = re.escape(f"node {node} is not removable from {lam}")
+                    with pytest.raises(ValueError, match=message):
+                        pt.remove_node(lam, node)
 
 
 def test_hook_lengths_frozen():

@@ -28,6 +28,15 @@ def test_bad_l_is_rejected_not_passed(suite, l):
         suite(l, 3)
 
 
+@pytest.mark.parametrize("l", [2.5, 2.9, 3.0])
+@pytest.mark.parametrize("suite", SUITES_WITH_L, ids=lambda f: f.__name__)
+def test_non_integer_l_is_rejected_not_truncated(suite, l):
+    """A float l used to be cut to int(l), so l = 2.9 ran and reported
+    "l": 2; every float is an error now, 3.0 included."""
+    with pytest.raises(ValueError, match=re.escape(f"must be an int: {l!r}")):
+        suite(l, 3)
+
+
 def _scan_right(monkeypatch):
     monkeypatch.setattr(fk, "ETA_SCAN_SIDE", "right")
 
@@ -46,14 +55,19 @@ def _shifted_chamber_char(monkeypatch):
     monkeypatch.setattr(eq, "fixed_point_char", shifted)
 
 
-def _negated_e_1(monkeypatch):
-    plain = fk.explicit_action
+def _negated(generator):
+    """Break the explicit route by negating one generator's image."""
 
-    def negated(g, v, l):
-        out = plain(g, v, l)
-        return -out if g == "e_1" else out
+    def breaks(monkeypatch):
+        plain = fk.explicit_action
 
-    monkeypatch.setattr(fk, "explicit_action", negated)
+        def negated(g, v, l):
+            out = plain(g, v, l)
+            return -out if g == generator else out
+
+        monkeypatch.setattr(fk, "explicit_action", negated)
+
+    return breaks
 
 
 # (suite, l, degree, the layer to break, sha256 of the mismatch report)
@@ -75,14 +89,26 @@ MISMATCHES = [
         "a8568bae6efa60398a291741477e1032b0b8ec10f9f3ca5664abf34bf1707405",
     ),
     (
-        "relations", 3, 4, _negated_e_1,
+        "relations", 3, 4, _negated("e_1"),
         "a0959814d57402a88b044ca211984e49e9e566502900e52d20d9a7405122db0e",
+    ),
+    # at scale: many failures over many shapes, listed smallest shape first
+    (
+        "frenkel-kac", 4, 6, _scan_right,
+        "675d3c9b770f91032e65b167638f5fdb0e532032bccbcaaa04f5b58a5c2cfcf2",
+    ),
+    (
+        "relations", 3, 7, _negated("h_0"),
+        "ff04d60bc690ae5780bd817047f4c1e189981c5cdf2a29934048ca7aaebfbbe0",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "suite, l, degree, breaks, digest", MISMATCHES, ids=[m[0] for m in MISMATCHES]
+    "suite, l, degree, breaks, digest",
+    MISMATCHES,
+    # a degree-4 pin is named by its suite alone, a pin at scale by its size
+    ids=[m[0] if m[2] == 4 else f"{m[0]}-l{m[1]}-d{m[2]}" for m in MISMATCHES],
 )
 def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, digest):
     breaks(monkeypatch)
