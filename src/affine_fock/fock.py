@@ -24,7 +24,9 @@ There is one field kernel, prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k
 on a tuple of shapes for an integer vector alpha (_field_on_shapes). Psi
 and Psi_star are its rank-one cases alpha = (1,) and (-1,), the vertex
 operators X(+1, z) and X(-1, z); frenkel_kac applies the same kernel to
-the l quotient shapes for X(alpha, z).
+the l quotient shapes for X(alpha, z). The kernel is memoised per
+(alpha, target, shapes), since one argument recurs for every charge, and
+holds only the terms whose sum over b does not cancel.
 
 The kernel coefficients are computed by the Pieri rules, in integers: the
 z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
@@ -251,16 +253,20 @@ def _exp_on_shapes(alpha, sign: int, d: int, shapes) -> dict:
     return {mus: c for (mus, left), c in layer.items() if c and not left}
 
 
-def _field_on_shapes(alpha, target: int, shapes) -> dict:
+@lru_cache(maxsize=1 << 14)
+def _field_on_shapes(alpha, target: int, shapes) -> tuple:
     """The field kernel: the z^target coefficient of
     prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k on a tuple of shapes,
-    summed over the degree b that the Gminus part removes."""
+    summed over the degree b that the Gminus part removes.
+
+    Returns the (shapes, coeff) pairs whose sum does not cancel, as a tuple
+    so that callers cannot change the cached value."""
     out: dict = {}
     for b in range(max(0, -target), sum(map(sum, shapes)) + 1):
         for mid, c1 in _exp_on_shapes(alpha, -1, b, shapes).items():
             for mus, c2 in _exp_on_shapes(alpha, 1, target + b, mid).items():
                 out[mus] = out.get(mus, 0) + c1 * c2
-    return out
+    return tuple((mus, c) for mus, c in out.items() if c)
 
 
 def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
@@ -277,7 +283,7 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     total: dict = {}
     for (c, lam), coeff in v.terms.items():
         target = h + c if a == 1 else -h - 1 - c  # z^{-a c} already extracted
-        for (mu,), n in _field_on_shapes((a,), target, (lam,)).items():
+        for (mu,), n in _field_on_shapes((a,), target, (lam,)):
             key = (c - a, mu)
             total[key] = total.get(key, 0) + coeff * n
     return Vec(total)
@@ -333,12 +339,13 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     for label in fock_labels(max_degree, charges):
         v = Vec.basis(label)
         c, lam = label
+        size = sum(lam)
         for k, j in enumerate(modes, -reach):  # j = k + 1/2
             for kind, direct_fn, shift in (
                 ("psi", psi, k + c),
                 ("psi_star", psi_star, -k - 1 - c),
             ):
-                if sum(lam) + shift > max_degree:
+                if size + shift > max_degree:
                     continue  # image is above max_degree
                 direct = direct_fn(j, v)
                 kernel = fermion_field_coeff(kind, j, v)

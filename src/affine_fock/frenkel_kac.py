@@ -200,7 +200,7 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
         target = m - norm - pairing(alpha, beta)
         out_beta = tuple(b + a for b, a in zip(beta, alpha))
         sign = -coeff if target % 2 else coeff
-        for shapes, n in fock._field_on_shapes(alpha, target, mus).items():
+        for shapes, n in fock._field_on_shapes(alpha, target, mus):
             key = (out_beta, shapes)
             total[key] = total.get(key, 0) + sign * n
     return Vec(total)
@@ -403,19 +403,27 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
     """Check transport(explicit g) = fk g(transport) on all small shapes,
     for every generator of default_generators.
 
-    Shapes are the outer loop, so each source shape is transported once
-    and failures come out smallest shape first, in generator order within
-    one shape.
+    Each shape, source or output, is transported once per call and kept
+    in a dict local to the call. Shapes are the outer loop, so failures
+    come out smallest shape first, in generator order within one shape.
     """
     l = check_l(l)
     failures = []
     generators = default_generators(l)
+    transports: dict = {}
+
+    def transported(lam) -> Vec:
+        out = transports.get(lam)
+        if out is None:
+            out = transports[lam] = transport(Vec.basis(lam), l)
+        return out
+
     for lam in partitions_up_to(max_degree):
         v = Vec.basis(lam)
-        transported = transport(v, l)
+        source = transported(lam)
         for g in generators:
-            lhs = transport(explicit_action(g, v, l), l)
-            rhs = fk_action(g, transported, l)
+            lhs = explicit_action(g, v, l).apply(transported)
+            rhs = fk_action(g, source, l)
             if lhs != rhs:
                 failures.append(
                     fock.failure(g, shape_label_json(lam), fk_vec_json(lhs), fk_vec_json(rhs))

@@ -23,15 +23,26 @@ def test_climb_stops_at_the_first_run_over_budget(monkeypatch):
 
     monkeypatch.setattr(frontier, "run_once", fake_run)
     got = frontier.frontier("relations", 3, 10.0, 6)
-    assert got == (8, 0.8, 9, "timeout after 10.0 s")
-    assert tried == [6, 7, 8, 9]
+    assert got == (8, (0.8, 0.8, 0.8), 9, "timeout after 10.0 s, timeout after 10.0 s")
+    # three runs per passing degree; two failures end a degree
+    assert tried == [6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9]
+
+
+def test_a_degree_passes_on_two_runs_of_three(monkeypatch):
+    frontier = load_frontier()
+    runs = iter([("ok", 7.0), ("timeout", 10.0), ("ok", 9.0),  # degree 6
+                 ("timeout", 10.0), ("ok", 9.5), ("exit 1", 0.3)])  # degree 7
+    monkeypatch.setattr(frontier, "run_once", lambda *args: next(runs))
+    got = frontier.frontier("relations", 3, 10.0, 6)
+    assert got == (6, (9.0, 7.0, 10.0), 7,
+                   "timeout after 10.0 s, ok after 9.5 s, exit 1 after 0.3 s")
 
 
 def test_failing_suite_has_no_frontier(monkeypatch):
     frontier = load_frontier()
     monkeypatch.setattr(frontier, "run_once", lambda *args: ("exit 1", 0.2))
     got = frontier.frontier("relations", 3, 10.0, 4)
-    assert got == (None, None, 4, "exit 1 after 0.2 s")
+    assert got == (None, None, 4, "exit 1 after 0.2 s, exit 1 after 0.2 s")
 
 
 def test_real_cli_ends_the_climb():

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from affine_fock import cli
+from affine_fock import cli, core_quotient
 from affine_fock import equivariant as eq
 from affine_fock import fock
 from affine_fock import frenkel_kac as fk
@@ -117,3 +117,52 @@ def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, di
     report = json.loads(out)
     assert code == 1 and report["status"] == "mismatch" and report["failures"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "run, breaks",
+    [
+        (lambda: fock.verify_boson_fermion(4, 2), _fermion_sign_plus),
+        (lambda: fk.verify_intertwining(3, 4), _scan_right),
+    ],
+    ids=["boson-fermion", "frenkel-kac"],
+)
+def test_a_warm_memo_does_not_hide_a_seam(monkeypatch, run, breaks):
+    """The kernel caches hold nothing a seam changes: in one process a
+    suite is ok, trips once its seam is flipped, and is ok again once the
+    seam is restored."""
+    assert run()["status"] == "ok"
+    breaks(monkeypatch)
+    assert run()["status"] == "mismatch"
+    monkeypatch.undo()
+    assert run()["status"] == "ok"
+
+
+def _count_calls(monkeypatch, module, name) -> dict:
+    """Wrap module.name so that each call adds one to the returned count."""
+    plain, count = getattr(module, name), {"calls": 0}
+
+    def counted(*args):
+        count["calls"] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
+
+
+def test_boson_fermion_computes_each_field_coefficient_once(monkeypatch):
+    """At d = 9 the suite asks for 15,450 field modes, its perfbench witness
+    count, on 3,478 distinct field-kernel arguments; each is computed once."""
+    fock._field_on_shapes.cache_clear()
+    modes = _count_calls(monkeypatch, fock, "fermion_field_coeff")
+    assert fock.verify_boson_fermion(9, 2)["status"] == "ok"
+    assert modes["calls"] == 15450
+    assert fock._field_on_shapes.cache_info().misses == 3478
+
+
+def test_intertwining_transports_each_shape_once(monkeypatch):
+    """At l = 3, d = 10 the source and output shapes number 845; one
+    transport per output term made 4,657 core/quotient calls."""
+    calls = _count_calls(monkeypatch, core_quotient, "core_and_quotient")
+    assert fk.verify_intertwining(3, 10)["status"] == "ok"
+    assert calls["calls"] <= 845
