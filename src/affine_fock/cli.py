@@ -73,7 +73,7 @@ def _load_json(text: str, what: str):
 
 def _load_partition(text: str, what: str = "--lambda") -> tuple[int, ...]:
     data = _load_json(text, what)
-    if not isinstance(data, list) or not all(isinstance(p, int) for p in data):
+    if not isinstance(data, list) or not all(type(p) is int for p in data):
         raise _CliError(2, f"{what} must be a JSON list of integers")
     try:
         return as_partition(data)
@@ -111,7 +111,7 @@ def cmd_core_quotient(args) -> int:
             raise _CliError(2, "--inverse needs --c and --q")
         c = _load_json(args.c, "--c")
         q = _load_json(args.q, "--q")
-        if not isinstance(c, list) or not all(isinstance(x, int) for x in c):
+        if not isinstance(c, list) or not all(type(x) is int for x in c):
             raise _CliError(2, "--c must be a JSON list of integers")
         if not isinstance(q, list) or not all(isinstance(p, list) for p in q):
             raise _CliError(2, "--q must be a JSON list of partitions")

@@ -46,8 +46,12 @@ def core_and_quotient(
 
 
 def check_core_vector(c, l: int) -> tuple[int, ...]:
+    """A core vector: l ints (a float is refused, not truncated) that sum
+    to zero."""
     _check_strands(l)
-    c = tuple(int(x) for x in c)
+    c = tuple(c)
+    if not all(isinstance(x, int) for x in c):
+        raise ValueError(f"core vector components must be ints: {c!r}")
     if len(c) != l:
         raise ValueError(f"core vector must have {l} components: {c}")
     if sum(c) != 0:

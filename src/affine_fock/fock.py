@@ -20,13 +20,13 @@ exp(sum_m z^{-m} heis(m)/m); psi_j is the z^{j-1/2} coefficient of Psi and
 psi_star_j the z^{-j-1/2} coefficient of Psi_star. verify_boson_fermion
 compares the two routes mode by mode.
 
-There is one field kernel, prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k
-on a tuple of shapes for an integer vector alpha (_field_on_shapes). Psi
-and Psi_star are its rank-one cases alpha = (1,) and (-1,), the vertex
-operators X(+1, z) and X(-1, z); frenkel_kac applies the same kernel to
-the l quotient shapes for X(alpha, z). The kernel is memoised per
-(alpha, target, shapes), since one argument recurs for every charge, and
-holds only the terms whose sum over b does not cancel.
+There is one field kernel, the rank-one field Gplus(z)^-a Gminus(z)^a on
+one shape for a = +1 or -1 (_field_on_shape). Psi and Psi_star are its
+cases a = +1 and -1, the vertex operators X(+1, z) and X(-1, z); for a
+root alpha = e_p - e_q, frenkel_kac multiplies the a = +1 field on
+quotient shape p by the a = -1 field on shape q to get X(alpha, z). The
+kernel is memoised per (a, target, shape), since one argument recurs for
+every charge, and holds only the terms whose sum over b does not cancel.
 
 The kernel coefficients are computed by the Pieri rules, in integers: the
 z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
@@ -230,43 +230,20 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
 
 
 @lru_cache(maxsize=1 << 14)
-def _exp_on_shapes(alpha, sign: int, d: int, shapes) -> dict:
-    """Coefficient of z^(sign*d) in prod_k Gplus_k(z)^-alpha_k (sign=+1) or
-    prod_k Gminus_k(z)^alpha_k (sign=-1) on a tuple of shapes.
+def _field_on_shape(a: int, target: int, lam) -> tuple:
+    """The rank-one field kernel: the z^target coefficient of
+    Gplus(z)^-a Gminus(z)^a on one shape, a = +1 or -1, summed over the
+    degree b that the Gminus part removes. The Gminus part is inverted when
+    a < 0, the Gplus part when a > 0.
 
-    Shape k carries |alpha_k| commuting copies of the plain kernel, inverted
-    exactly when sign*alpha_k > 0. Each copy but the last takes any part of
-    the degree still to place, and the last takes all of it.
-    """
-    factors = [(k, sign * a > 0) for k, a in enumerate(alpha) for _ in range(abs(a))]
-    last = len(factors) - 1
-    layer = {(shapes, d): 1}  # shapes and the degree still to place
-    for n, (k, inverse) in enumerate(factors):
-        nxt: dict = {}
-        for (mus, left), c0 in layer.items():
-            for e in (left,) if n == last else range(left + 1):
-                for mu, c1 in _gamma_on_shape(sign, e, inverse, mus[k]).items():
-                    key = (mus[:k] + (mu,) + mus[k + 1 :], left - e)
-                    nxt[key] = nxt.get(key, 0) + c0 * c1
-        layer = nxt
-    # degree is left over only when alpha is zero and there are no factors
-    return {mus: c for (mus, left), c in layer.items() if c and not left}
-
-
-@lru_cache(maxsize=1 << 14)
-def _field_on_shapes(alpha, target: int, shapes) -> tuple:
-    """The field kernel: the z^target coefficient of
-    prod_k Gplus_k(z)^-alpha_k Gminus_k(z)^alpha_k on a tuple of shapes,
-    summed over the degree b that the Gminus part removes.
-
-    Returns the (shapes, coeff) pairs whose sum does not cancel, as a tuple
-    so that callers cannot change the cached value."""
+    Returns the (mu, coeff) pairs whose sum does not cancel, as a tuple so
+    that callers cannot change the cached value."""
     out: dict = {}
-    for b in range(max(0, -target), sum(map(sum, shapes)) + 1):
-        for mid, c1 in _exp_on_shapes(alpha, -1, b, shapes).items():
-            for mus, c2 in _exp_on_shapes(alpha, 1, target + b, mid).items():
-                out[mus] = out.get(mus, 0) + c1 * c2
-    return tuple((mus, c) for mus, c in out.items() if c)
+    for b in range(max(0, -target), sum(lam) + 1):
+        for mid, c1 in _gamma_on_shape(-1, b, a < 0, lam).items():
+            for mu, c2 in _gamma_on_shape(1, target + b, a > 0, mid).items():
+                out[mu] = out.get(mu, 0) + c1 * c2
+    return tuple((mu, c) for mu, c in out.items() if c)
 
 
 def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
@@ -274,7 +251,7 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
 
     kind="psi" extracts the z^(j-1/2) coefficient of Psi(z), kind="psi_star"
     the z^(-j-1/2) coefficient of Psi_star(z): the field kernel with
-    alpha = (1,) or (-1,) after the charge power of z and the charge shift.
+    a = +1 or -1 after the charge power of z and the charge shift.
     """
     h = maya.bead(j)  # j = h + 1/2
     if kind not in ("psi", "psi_star"):
@@ -283,7 +260,7 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     total: dict = {}
     for (c, lam), coeff in v.terms.items():
         target = h + c if a == 1 else -h - 1 - c  # z^{-a c} already extracted
-        for (mu,), n in _field_on_shapes((a,), target, (lam,)):
+        for mu, n in _field_on_shape(a, target, lam):
             key = (c - a, mu)
             total[key] = total.get(key, 0) + coeff * n
     return Vec(total)

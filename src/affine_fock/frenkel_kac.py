@@ -23,14 +23,17 @@ strand boson is the particle-hole twist of the plain one: mode n carries an
 extra (-1)^(|n|-1), which is the plain mode conjugated by shape
 transposition; without the twist the two routes already disagree on
 partitions of 4. Conjugating the plain half-vertex Gplus_k(z) by
-transposition gives Gplus_k(-z)^-1, and likewise for Gminus_k, so
+transposition gives Gplus_k(-z)^-1, and likewise for Gminus_k. For a
+root alpha = e_p - e_q this makes Eminus(z) Eplus(z) the product of two
+commuting rank-one fields of fock at -z,
 
-    Eminus(z) Eplus(z) = prod_k Gplus_k(-z)^-alpha_k Gminus_k(-z)^alpha_k,
+    [Gplus_p(-z)^-1 Gminus_p(-z)] [Gplus_q(-z) Gminus_q(-z)^-1],
 
-the field kernel of fock (the one behind Psi = X(+1, z) at rank one) at
--z. On [beta] x b the z^m coefficient is therefore (-1)^target times the
-kernel's z^target coefficient, target = m - (alpha,alpha)/2 -
-(alpha,beta), all in integers. A two-cocycle sign eps(., .) on the lattice
+the field of Psi = X(+1, z) on strand p and that of Psi_star = X(-1, z)
+on strand q. On [beta] x b the z^m coefficient is therefore (-1)^target
+times the sum over t of the strand-p field's z^t coefficient times the
+strand-q field's z^(target - t) one, target = m - 1 - (alpha,beta), all
+in integers. A two-cocycle sign eps(., .) on the lattice
 makes the relations close: e-type generators are dressed by eps(alpha,
 beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
 
@@ -185,24 +188,32 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
 # --------------------------------------------------------- vertex operator
 
 def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
-    """Coefficient of z^m in X(alpha, z) applied to v.
+    """Coefficient of z^m in X(alpha, z) applied to v, for a root
+    alpha = e_p - e_q.
 
     Applied right to left: the lattice part Z0 (monomial and translation),
     then the annihilation exponential, then the creation exponential. The
-    lowest nonzero mode on [beta] x b is (alpha,alpha)/2 + (alpha,beta);
-    the exponentials are the field kernel of fock times (-1)^target, the
-    strand boson's transposition twist.
+    lowest nonzero mode on [beta] x b is 1 + (alpha,beta); the exponentials
+    are fock's rank-one field with a = +1 on quotient shape p times the one
+    with a = -1 on shape q, times (-1)^target, the strand boson's
+    transposition twist.
     """
     alpha = core_quotient.check_core_vector(alpha, l)
-    norm = pairing(alpha, alpha) // 2
+    if sorted(alpha) != [-1] + [0] * (l - 2) + [1]:
+        raise ValueError(f"not a root: {alpha}")
+    p, q = alpha.index(1), alpha.index(-1)
     total: dict = {}
     for (beta, mus), coeff in v.terms.items():
-        target = m - norm - pairing(alpha, beta)
+        target = m - 1 - pairing(alpha, beta)
         out_beta = tuple(b + a for b, a in zip(beta, alpha))
         sign = -coeff if target % 2 else coeff
-        for shapes, n in fock._field_on_shapes(alpha, target, mus):
-            key = (out_beta, shapes)
-            total[key] = total.get(key, 0) + sign * n
+        for t in range(-sum(mus[p]), target + sum(mus[q]) + 1):
+            for mu_p, c_p in fock._field_on_shape(1, t, mus[p]):
+                for mu_q, c_q in fock._field_on_shape(-1, target - t, mus[q]):
+                    shapes = list(mus)
+                    shapes[p], shapes[q] = mu_p, mu_q
+                    key = (out_beta, tuple(shapes))
+                    total[key] = total.get(key, 0) + sign * c_p * c_q
     return Vec(total)
 
 

@@ -192,7 +192,8 @@ def test_every_route_returns_int_coefficients():
 
 
 # the Maya helpers the bead routines replaced, the twisted kernel that the
-# one field kernel replaced, and the lattice check core_quotient replaced
+# one field kernel replaced, the tuple-of-shapes kernels that the rank-one
+# field replaced, and the lattice check core_quotient replaced
 DELETED_NAMES = {
     "_maya_of",
     "_label_of",
@@ -204,6 +205,8 @@ DELETED_NAMES = {
     "_twisted_heis_on_shape",
     "_twisted_gamma_on_shape",
     "_exp_coeff_on_shapes",
+    "_exp_on_shapes",
+    "_field_on_shapes",
     "check_lattice_vector",
 }
 

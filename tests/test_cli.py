@@ -67,6 +67,26 @@ def test_inverse_rejects_nonzero_sum(capsys):
     assert err.startswith("error:")
 
 
+def test_json_booleans_are_not_integers(capsys):
+    """JSON true/false parse as Python bools, which are ints; both the
+    partition check and the --c check refuse them with exit 2."""
+    for argv, what in (
+        (("core-quotient", "--l", "2", "--lambda", "[true]"), "--lambda"),
+        (("act", "--g", "e_0", "--lambda", "[false]", "--l", "2"), "--lambda"),
+        (
+            ("core-quotient", "--l", "2", "--inverse", "--c", "[true,-1]", "--q", "[[],[]]"),
+            "--c",
+        ),
+        (
+            ("core-quotient", "--l", "2", "--inverse", "--c", "[1,-1]", "--q", "[[true],[]]"),
+            "--q entry",
+        ),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {what} must be a JSON list of integers\n"
+
+
 def test_act_explicit_frozen(capsys):
     code, out, _ = run_main(capsys, "act", "--g", "e_0", "--lambda", "[1]", "--l", "2")
     assert code == 0

@@ -83,6 +83,15 @@ def test_core_vector_validation():
         cq.cq_inverse((1, -1), ((),), 2)
 
 
+def test_core_vector_refuses_non_integers():
+    """A component that is not an int is refused, not truncated: int() made
+    (1.7, -1.7) the core vector (1, -1)."""
+    for c in ((1.7, -1.7), (1.0, -1.0), ("1", "-1")):
+        with pytest.raises(ValueError, match="must be ints"):
+            cq.cq_inverse(c, ((), ()), 2)
+    assert cq.cq_inverse([1, -1], ((), ()), 2) == (1,)
+
+
 @given(partitions(), levels)
 def test_round_trip_and_size_law(lam, l):
     c, q = cq.core_and_quotient(lam, l)

@@ -68,6 +68,13 @@ def test_points_vector_frozen():
         eq.points_vector((1, -1), -1, 2)
 
 
+def test_points_vector_refuses_non_integer_core():
+    with pytest.raises(ValueError, match="must be ints"):
+        eq.points_vector((1.7, -1.7), 0, 2)
+    with pytest.raises(ValueError, match="must be ints"):
+        eq.points_vector((0.5, -0.5, 0), 1, 3)
+
+
 @given(partitions(max_size=12), levels)
 def test_points_vector_matches_residue_counts(lam, l):
     c, q = cq.core_and_quotient(lam, l)

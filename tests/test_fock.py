@@ -1,5 +1,4 @@
 from fractions import Fraction
-from itertools import product
 from math import factorial
 
 import hypothesis.strategies as st
@@ -142,45 +141,32 @@ def test_kernel_field_matches_fermions_on_spots():
         fermion_field_coeff("phi", HALF, vacuum())
 
 
-def field_oracle(alpha, target, shapes):
-    """Oracle for the memoised fock._field_on_shapes: its sum over the degree
+def field_oracle(a, target, lam):
+    """Oracle for the memoised fock._field_on_shape: its sum over the degree
     b that the Gminus part removes, unmemoised, with the cancelled sums
-    dropped."""
+    dropped. The Gminus part is inverted when a < 0, the Gplus part when
+    a > 0."""
     out = {}
-    for b in range(max(0, -target), sum(map(sum, shapes)) + 1):
-        for mid, c1 in fock._exp_on_shapes(alpha, -1, b, shapes).items():
-            for mus, c2 in fock._exp_on_shapes(alpha, 1, target + b, mid).items():
-                out[mus] = out.get(mus, 0) + c1 * c2
-    return {mus: c for mus, c in out.items() if c}
-
-
-def assert_field_matches_oracle(alpha, target, shapes):
-    got = fock._field_on_shapes(alpha, target, shapes)
-    assert type(got) is tuple
-    assert all(c for _, c in got)
-    assert len(dict(got)) == len(got)
-    assert dict(got) == field_oracle(alpha, target, shapes)
+    for b in range(max(0, -target), sum(lam) + 1):
+        for mid, c1 in fock._gamma_on_shape(-1, b, a < 0, lam).items():
+            for mu, c2 in fock._gamma_on_shape(1, target + b, a > 0, mid).items():
+                out[mu] = out.get(mu, 0) + c1 * c2
+    return {mu: c for mu, c in out.items() if c}
 
 
 def test_field_kernel_matches_its_sum_over_b():
-    """The cached field kernel keeps exactly the nonzero terms of the sum it
-    replaces, in an immutable tuple: on rank one for every |lam| <= 7 and
-    every target within |lam| + 2, and on the l = 3 simple and highest roots
-    of both signs for every quotient triple of total weight <= 3."""
+    """The cached rank-one field kernel keeps exactly the nonzero terms of
+    the sum it replaces, in an immutable tuple, for both signs of a, every
+    |lam| <= 7 and every target within |lam| + 2."""
     for lam in partitions_up_to(7):
         n = sum(lam)
-        for alpha in ((1,), (-1,)):
+        for a in (1, -1):
             for target in range(-n - 2, n + 3):
-                assert_field_matches_oracle(alpha, target, (lam,))
-    roots = [(1, -1, 0), (0, 1, -1), (1, 0, -1)]
-    roots += [tuple(-x for x in root) for root in roots]
-    small = list(partitions_up_to(3))
-    triples = [t for t in product(small, repeat=3) if sum(map(sum, t)) <= 3]
-    for alpha in roots:
-        for shapes in triples:
-            w = sum(map(sum, shapes))
-            for target in range(-w - 2, w + 3):
-                assert_field_matches_oracle(alpha, target, shapes)
+                got = fock._field_on_shape(a, target, lam)
+                assert type(got) is tuple
+                assert all(c for _, c in got)
+                assert len(dict(got)) == len(got)
+                assert dict(got) == field_oracle(a, target, lam)
 
 
 def test_boson_fermion_suite_small():

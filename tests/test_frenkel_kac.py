@@ -234,8 +234,9 @@ def alpha_mode(alpha, n, shapes):
     return out
 
 
+@lru_cache(maxsize=None)
 def power_sum_exponential(alpha, sign, d, mus):
-    """Oracle for (-1)^d fock._exp_on_shapes: expand exp(sum_n z^n
+    """Oracle for the exponentials of vertex_coeff: expand exp(sum_n z^n
     alpha(-n)/n) (sign=+1) or exp(-sum_n z^-n alpha(n)/n) (sign=-1), alpha(n)
     the twisted strand boson, over partitions nu of d with weights 1/z_nu.
     The sum is kept as an integer multiple of 1/d!, d!/z_nu being the number
@@ -264,27 +265,46 @@ def power_sum_exponential(alpha, sign, d, mus):
 
 @pytest.mark.parametrize("l", [2, 3, 4])
 def test_strand_kernel_matches_power_sum_exponential(l):
-    """The product of plain strand strip kernels, times (-1)^d, equals the
-    twisted power-sum expansion on every quotient tuple of total size <= 4,
-    d <= 4, both signs, for the roots +-alpha_i, +-theta and a vector with a
-    +-2 coordinate."""
+    """The product of the two strand fields in vertex_coeff equals the
+    twisted power-sum expansion: on [0] x mus the z^(t+1) mode of X(alpha, z)
+    is sum_b Eminus_(t+b) Eplus_(-b), moved to the label [alpha]. Checked for
+    the roots +-alpha_i and +-theta, every quotient tuple of total size
+    <= 4 and t in [-|mus| - 1, 4 - |mus|]; every coefficient is an int."""
     roots = [fk.simple_root(i, l) for i in range(1, l)] + [fk.theta(l)]
-    roots.append((2, -2) if l == 2 else (2, -1) + (0,) * (l - 3) + (-1,))
     alphas = roots + [tuple(-x for x in root) for root in roots]
     tuples = [
         mus
         for mus in itertools.product(partitions_up_to(4), repeat=l)
         if sum(map(sum, mus)) <= 4
     ]
+    zero = (0,) * l
+    cases = 0
     for alpha in alphas:
         for mus in tuples:
-            for d in range(5):
-                twist = -1 if d % 2 else 1
-                for sign in (1, -1):
-                    got = fock._exp_on_shapes(alpha, sign, d, mus)
-                    want = power_sum_exponential(alpha, sign, d, mus)
-                    assert {k: twist * c for k, c in got.items()} == want
-                    assert all(type(c) is int for c in got.values())
+            w = sum(map(sum, mus))
+            for t in range(-w - 1, 5 - w):
+                want = {}
+                for b in range(max(0, -t), w + 1):
+                    for mid, c1 in power_sum_exponential(alpha, -1, b, mus).items():
+                        for out, c2 in power_sum_exponential(alpha, 1, t + b, mid).items():
+                            want[out] = want.get(out, 0) + c1 * c2
+                got = fk.vertex_coeff(alpha, t + 1, Vec.basis((zero, mus)), l)
+                assert got.terms == {(alpha, out): c for out, c in want.items() if c}
+                assert all(type(c) is int for c in got.terms.values())
+                cases += 1
+    assert cases == {2: 912, 3: 3096, 4: 7872}[l]
+
+
+def test_vertex_coeff_refuses_what_is_not_a_root():
+    """vertex_coeff takes only the roots e_p - e_q of the sum-zero lattice."""
+    for alpha, l in (
+        ((2, -2, 0), 3),
+        ((1, 1, -2), 3),
+        ((0, 0, 0), 3),
+        ((1, -1, 1, -1), 4),
+    ):
+        with pytest.raises(ValueError, match="not a root"):
+            fk.vertex_coeff(alpha, 0, Vec.basis(((0,) * l, ((),) * l)), l)
 
 
 def test_h_is_diagonal_with_node_counts():

@@ -150,14 +150,38 @@ def _count_calls(monkeypatch, module, name) -> dict:
     return count
 
 
+def _clear_kernel_memos() -> None:
+    fock._field_on_shape.cache_clear()
+    fock._gamma_on_shape.cache_clear()
+
+
 def test_boson_fermion_computes_each_field_coefficient_once(monkeypatch):
     """At d = 9 the suite asks for 15,450 field modes, its perfbench witness
     count, on 3,478 distinct field-kernel arguments; each is computed once."""
-    fock._field_on_shapes.cache_clear()
+    _clear_kernel_memos()
     modes = _count_calls(monkeypatch, fock, "fermion_field_coeff")
     assert fock.verify_boson_fermion(9, 2)["status"] == "ok"
     assert modes["calls"] == 15450
-    assert fock._field_on_shapes.cache_info().misses == 3478
+    assert fock._field_on_shape.cache_info().misses == 3478
+
+
+def test_boson_fermion_reuses_the_strip_kernel():
+    """The field kernel calls the strip kernel directly, so the strip memo
+    is shared across fields: 14,198 hits at d = 9. A tuple-of-shapes layer
+    between them used to ask it each key once (0 hits)."""
+    _clear_kernel_memos()
+    assert fock.verify_boson_fermion(9, 2)["status"] == "ok"
+    assert fock._gamma_on_shape.cache_info().hits == 14198
+
+
+def test_intertwining_needs_few_kernel_entries():
+    """A root's vertex operator is two rank-one fields on one shape each, so
+    the l = 3, d = 10 suite fills 126 kernel entries; the tuple-of-shapes
+    kernel it replaced filled 1,716."""
+    _clear_kernel_memos()
+    assert fk.verify_intertwining(3, 10)["status"] == "ok"
+    assert fock._field_on_shape.cache_info().misses <= 56
+    assert fock._gamma_on_shape.cache_info().misses <= 70
 
 
 def test_intertwining_transports_each_shape_once(monkeypatch):
