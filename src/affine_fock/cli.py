@@ -71,8 +71,11 @@ def _load_json(text: str, what: str):
         raise _CliError(2, f"malformed {what}: {exc}") from exc
 
 
-def _load_partition(text: str, what: str = "--lambda") -> tuple[int, ...]:
-    data = _load_json(text, what)
+def _load_partition(text: str) -> tuple[int, ...]:
+    return _as_partition(_load_json(text, "--lambda"), "--lambda")
+
+
+def _as_partition(data, what: str) -> tuple[int, ...]:
     if not isinstance(data, list) or not all(type(p) is int for p in data):
         raise _CliError(2, f"{what} must be a JSON list of integers")
     try:
@@ -115,7 +118,7 @@ def cmd_core_quotient(args) -> int:
             raise _CliError(2, "--c must be a JSON list of integers")
         if not isinstance(q, list) or not all(isinstance(p, list) for p in q):
             raise _CliError(2, "--q must be a JSON list of partitions")
-        parts = tuple(_load_partition(json.dumps(p), "--q entry") for p in q)
+        parts = tuple(_as_partition(p, "--q entry") for p in q)
         try:
             lam = core_quotient.cq_inverse(c, parts, l)
         except ValueError as exc:

@@ -127,9 +127,8 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
     """
     l = check_l(l)
     c = core_quotient.check_core_vector(c, l)
-    n = int(n)
-    if n < 0:
-        raise ValueError(f"hook count must be non-negative: {n}")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"hook count must be a non-negative int: {n!r}")
     v = [n + sum(x * x for x in c) // 2]
     for j in range(l - 1):
         v.append(v[-1] - c[j])

@@ -57,7 +57,18 @@ def label_sort_key(label):
 
 
 def vacuum(charge: int = 0) -> Vec:
-    return Vec.basis((int(charge), ()))
+    if not isinstance(charge, int):
+        raise ValueError(f"the charge must be an int: {charge!r}")
+    return Vec.basis((charge, ()))
+
+
+def check_mode(n: int) -> int:
+    """A Heisenberg mode: a nonzero int; a float is refused, not truncated."""
+    if not isinstance(n, int):
+        raise ValueError(f"the mode must be an int: {n!r}")
+    if n == 0:
+        raise ValueError("the degree-zero mode is excluded")
+    return n
 
 
 def _bead_index(c: int, lam, b: int) -> tuple[int, bool]:
@@ -148,9 +159,7 @@ def heis(n: int, v: Vec) -> Vec:
     Murnaghan-Nakayama rule): the holes-between sign of the stride-1 bead
     hop times (-1)^(|n|-1). The result is charge independent.
     """
-    n = int(n)
-    if n == 0:
-        raise ValueError("the degree-zero mode is excluded")
+    n = check_mode(n)
     twist = 1 if n % 2 else -1
 
     def on_basis(label) -> Vec:

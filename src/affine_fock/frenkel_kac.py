@@ -37,6 +37,10 @@ in integers. A two-cocycle sign eps(., .) on the lattice
 makes the relations close: e-type generators are dressed by eps(alpha,
 beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
 
+Every generator of residue i is read off one runner pair, p = (i - 1) mod l
+and q = i, which at i = 0 wraps from strand l - 1 to strand 0 (fk_action);
+explicit_p hops beads on the same two abacus runners.
+
 verify_intertwining checks that the transport intertwines the two routes;
 verify_relations checks the Chevalley-Serre relations degreewise.
 """
@@ -69,20 +73,11 @@ EPSILON_NEG_OFFSETS = (0, 1)
 
 # ---------------------------------------------------------------- lattice
 
-def simple_root(i: int, l: int) -> tuple[int, ...]:
-    """alpha_i = e_{i-1/2} - e_{i+1/2} for i = 1..l-1."""
-    if not 1 <= i <= l - 1:
-        raise ValueError(f"simple root index must be 1..{l - 1}: {i}")
-    root = [0] * l
-    root[i - 1] = 1
-    root[i] = -1
-    return tuple(root)
-
-
-def theta(l: int) -> tuple[int, ...]:
-    """Highest root: sum of all simple roots."""
-    l = check_l(l)
-    return (1,) + (0,) * (l - 2) + (-1,)
+def root(p: int, q: int, l: int) -> tuple[int, ...]:
+    """The root e_p - e_q, for two distinct strands p, q in 0..l-1."""
+    if p == q or not (0 <= p < l and 0 <= q < l):
+        raise ValueError(f"a root needs two distinct strands in 0..{l - 1}: {p}, {q}")
+    return tuple((k == p) - (k == q) for k in range(l))
 
 
 def pairing(a, b) -> int:
@@ -170,9 +165,7 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
     times (-1)^(|n|-1), which is the plain mode conjugated by shape
     transposition.
     """
-    n = int(n)
-    if n == 0:
-        raise ValueError("the degree-zero mode is excluded")
+    n = fock.check_mode(n)
 
     def on_basis(label) -> Vec:
         beta, mus = label
@@ -229,81 +222,41 @@ def parse_generator(g: str) -> tuple[str, int, int | None]:
         kind, _, idx = head.partition("_")
         if kind != "p":
             raise ValueError(f"only p takes a mode argument: {g!r}")
-        mode = int(tail[:-1])
-        if mode == 0:
-            raise ValueError("the degree-zero mode is excluded")
-        return "p", int(idx), mode
+        return "p", int(idx), fock.check_mode(int(tail[:-1]))
     kind, _, idx = g.partition("_")
     if kind not in ("e", "f", "h") or not idx.lstrip("-").isdigit():
         raise ValueError(f"malformed generator: {g!r}")
     return kind, int(idx), None
 
 
-def _fk_root(alpha, m: int, f_type: bool, v: Vec, l: int) -> Vec:
+def _fk_root(p: int, q: int, m: int, f_type: bool, v: Vec, l: int) -> Vec:
     """The dressed root mode eps(alpha, alpha)^[f_type] eps(alpha, beta)
-    X_m(alpha) on each [beta] x b of v. The dressing is diagonal and the
-    mode linear, so v is dressed first and the mode applied once."""
+    X_m(alpha), alpha = e_p - e_q, on each [beta] x b of v. The dressing is
+    diagonal and the mode linear, so v is dressed first and the mode
+    applied once."""
+    alpha = root(p, q, l)
     dress = epsilon(alpha, alpha, l) if f_type else 1
     signed = {label: dress * epsilon(alpha, label[0], l) * c for label, c in v.terms.items()}
     return vertex_coeff(alpha, m, Vec(signed), l)
 
 
-def fk_e(i: int, v: Vec, l: int) -> Vec:
-    """Raising generator at residue i on the lattice Fock space.
-
-    Residue 0 is the f-type generator of the highest root at loop degree 1,
-    so it carries the f dressing eps(theta, theta) eps(theta, beta).
-    """
-    i = check_residue(i, l)
-    if i == 0:
-        return _fk_root(tuple(-x for x in theta(l)), -1, True, v, l)
-    return _fk_root(simple_root(i, l), 0, False, v, l)
-
-
-def fk_f(i: int, v: Vec, l: int) -> Vec:
-    """Lowering generator at residue i on the lattice Fock space.
-
-    Residue 0 is the e-type generator of the highest root at loop degree -1
-    and carries the plain dressing eps(theta, beta).
-    """
-    i = check_residue(i, l)
-    if i == 0:
-        return _fk_root(theta(l), 1, False, v, l)
-    return _fk_root(tuple(-x for x in simple_root(i, l)), 0, True, v, l)
-
-
-def fk_h(i: int, v: Vec, l: int) -> Vec:
-    """Diagonal generator: pairing with the lattice label."""
-    i = check_residue(i, l)
-
-    def on_basis(label) -> Vec:
-        beta, _ = label
-        if i == 0:
-            value = 1 - pairing(theta(l), beta)
-        else:
-            value = pairing(simple_root(i, l), beta)
-        return Vec({label: value}) if value else Vec.zero()
-
-    return v.apply(on_basis)
-
-
-def fk_p(i: int, m: int, v: Vec, l: int) -> Vec:
-    """Loop Heisenberg at residue i: difference of adjacent strand modes."""
-    i = check_residue(i, l)
-    if i == 0:
-        return heis_tensor(m, l - 1, v) - heis_tensor(m, 0, v)
-    return heis_tensor(m, i - 1, v) - heis_tensor(m, i, v)
-
-
 def fk_action(g: str, v: Vec, l: int) -> Vec:
+    """Generator g of residue i on the lattice Fock space, read off the
+    runner pair p = (i - 1) mod l, q = i and the loop shift s = delta_{i0}:
+    e_i is the root e_p - e_q at degree -s, f_i the root e_q - e_p at
+    degree s (of the two, the negative root of sl_l takes the f dressing),
+    h_i is s + beta_p - beta_q, and p_i(m) the strand-p boson minus the
+    strand-q one."""
     kind, i, mode = parse_generator(g)
+    q = check_residue(i, l)
+    p, s = (q - 1) % l, int(q == 0)
     if kind == "e":
-        return fk_e(i, v, l)
+        return _fk_root(p, q, -s, bool(s), v, l)
     if kind == "f":
-        return fk_f(i, v, l)
+        return _fk_root(q, p, s, not s, v, l)
     if kind == "h":
-        return fk_h(i, v, l)
-    return fk_p(i, mode, v, l)
+        return Vec({label: (s + label[0][p] - label[0][q]) * c for label, c in v.terms.items()})
+    return heis_tensor(mode, p, v) - heis_tensor(mode, q, v)
 
 
 # ------------------------------------------------------- explicit action
@@ -365,22 +318,16 @@ def explicit_h(i: int, v: Vec, l: int) -> Vec:
 def explicit_p(i: int, mode: int, v: Vec, l: int) -> Vec:
     """Loop Heisenberg on partitions by direct strand hopping.
 
-    The strands i - 1/2 and i + 1/2 are the abacus runners (i - 1) mod l
-    and i; a strand mode hops one bead by mode*l along its runner.
+    It reads the runner pair of residue i, p = (i - 1) mod l and q = i, as
+    fk_action does: the runner-p mode minus the runner-q one, each hopping
+    one bead by mode*l along its runner.
     """
-    i = check_residue(i, l)
-    if mode == 0:
-        raise ValueError("the degree-zero mode is excluded")
+    i, mode = check_residue(i, l), fock.check_mode(mode)
 
-    def on_basis(lam) -> Vec:
-        out: dict = {}
-        for shape, coeff in fock._hop_on_shape(mode, l, (i - 1) % l, lam).items():
-            out[shape] = out.get(shape, 0) + coeff
-        for shape, coeff in fock._hop_on_shape(mode, l, i, lam).items():
-            out[shape] = out.get(shape, 0) - coeff
-        return Vec(out)
+    def runner(r: int) -> Vec:
+        return v.apply(lambda lam: Vec(fock._hop_on_shape(mode, l, r, lam)))
 
-    return v.apply(on_basis)
+    return runner((i - 1) % l) - runner(i)
 
 
 def explicit_action(g: str, v: Vec, l: int) -> Vec:

@@ -20,11 +20,17 @@ from typing import Iterable, Iterator
 
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
-    """Validate and normalize a partition given as any iterable of ints."""
-    lam = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in lam):
-        raise ValueError(f"partition parts must be positive: {lam}")
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
+    """Validate a partition given as any iterable of ints, in one pass (a
+    float is refused, not truncated; a part <= 0 outranks an ascent)."""
+    lam = tuple(parts)
+    prev, ordered = (lam[0] if lam else 0), True
+    for p in lam:
+        if not isinstance(p, int):
+            raise ValueError(f"partition parts must be ints: {lam!r}")
+        if p <= 0:
+            raise ValueError(f"partition parts must be positive: {lam}")
+        ordered, prev = ordered and p <= prev, p
+    if not ordered:
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
 

@@ -70,15 +70,16 @@ def test_parse_generator():
 
 
 def test_lattice_frozen():
-    assert fk.theta(3) == (1, 0, -1)
-    assert fk.simple_root(1, 3) == (1, -1, 0)
-    assert fk.simple_root(2, 3) == (0, 1, -1)
+    assert fk.root(0, 1, 3) == (1, -1, 0)
+    assert fk.root(2, 0, 3) == (-1, 0, 1)
     assert fk.cartan_matrix(2) == [[2, -2], [-2, 2]]
     assert fk.cartan_matrix(3) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
-    assert fk.epsilon(fk.theta(2), fk.theta(2), 2) == -1
-    assert fk.epsilon(fk.theta(3), fk.theta(3), 3) == -1
-    with pytest.raises(ValueError):
-        fk.simple_root(0, 3)
+    for l in (2, 3):
+        theta = fk.root(0, l - 1, l)
+        assert fk.epsilon(theta, theta, l) == -1
+    for p, q in ((1, 1), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            fk.root(p, q, 3)
 
 
 @st.composite
@@ -99,7 +100,7 @@ def test_epsilon_cocycle_laws(abl):
         alpha, beta
     )
     gamma = tuple(a + b for a, b in zip(alpha, beta))
-    probe = fk.theta(l)
+    probe = fk.root(0, l - 1, l)
     assert fk.epsilon(gamma, probe, l) == fk.epsilon(alpha, probe, l) * fk.epsilon(
         beta, probe, l
     )
@@ -219,8 +220,8 @@ def test_vertex_exponential_vs_bilinear(lam, l, n):
     paired strand fermion sum."""
     for i in range(1, l):
         v = fk.transport(Vec.basis(lam), l)
-        root = fk.simple_root(i, l)
-        assert vertex_bilinear(i, n, v, l) == fk.vertex_coeff(root, n, v, l)
+        alpha = fk.root(i - 1, i, l)
+        assert vertex_bilinear(i, n, v, l) == fk.vertex_coeff(alpha, n, v, l)
 
 
 @lru_cache(maxsize=None)
@@ -270,7 +271,7 @@ def test_strand_kernel_matches_power_sum_exponential(l):
     is sum_b Eminus_(t+b) Eplus_(-b), moved to the label [alpha]. Checked for
     the roots +-alpha_i and +-theta, every quotient tuple of total size
     <= 4 and t in [-|mus| - 1, 4 - |mus|]; every coefficient is an int."""
-    roots = [fk.simple_root(i, l) for i in range(1, l)] + [fk.theta(l)]
+    roots = [fk.root(i - 1, i, l) for i in range(1, l)] + [fk.root(0, l - 1, l)]
     alphas = roots + [tuple(-x for x in root) for root in roots]
     tuples = [
         mus
@@ -324,7 +325,9 @@ def test_default_generators():
 
 
 def test_intertwining_suite_small():
-    for l in (2, 3):
+    # residue 0 reads the strand pair (l - 1, 0); a larger l puts more
+    # strands between the two
+    for l in (2, 3, 4, 5):
         report = fk.verify_intertwining(l, 4)
         assert report["status"] == "ok"
         assert report["failures"] == []

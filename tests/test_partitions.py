@@ -5,6 +5,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from affine_fock import core_quotient, equivariant, fock
+from affine_fock import frenkel_kac as fk
 from affine_fock import partitions as pt
 from affine_fock.partitions import LaurentPoly, Vec
 from conftest import levels, partitions
@@ -19,6 +21,28 @@ def test_as_partition_validates():
         pt.as_partition([2, 0])
     with pytest.raises(ValueError):
         pt.as_partition([-1])
+    # one pass, yet a part that is not positive still outranks an ascent
+    with pytest.raises(ValueError, match="must be positive"):
+        pt.as_partition([1, 2, 0])
+
+
+@pytest.mark.parametrize(
+    "call,value",
+    [
+        (lambda: pt.as_partition((2.9, 1.2)), (2.9, 1.2)),
+        (lambda: core_quotient.core_and_quotient((2.9, 1.2), 2), (2.9, 1.2)),
+        (lambda: equivariant.points_vector((1, -1), 0.7, 2), 0.7),
+        (lambda: fock.vacuum(1.5), 1.5),
+        (lambda: fock.heis(1.5, fock.vacuum()), 1.5),
+        (lambda: fk.heis_tensor(1.5, 0, Vec.basis(((0, 0), ((), ())))), 1.5),
+    ],
+    ids=["as_partition", "core_and_quotient", "points_vector", "vacuum", "heis", "heis_tensor"],
+)
+def test_non_int_is_refused_not_truncated(call, value):
+    """Each entry refuses a float with a ValueError that names it, instead
+    of cutting it to int() and carrying on."""
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call()
 
 
 def test_nodes_and_contents():
