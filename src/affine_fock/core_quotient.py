@@ -46,11 +46,11 @@ def core_and_quotient(
 
 
 def check_core_vector(c, l: int) -> tuple[int, ...]:
-    """A core vector: l ints (a float is refused, not truncated) that sum
-    to zero."""
+    """A core vector: l ints (a float or bool is refused, not truncated)
+    that sum to zero."""
     _check_strands(l)
     c = tuple(c)
-    if not all(isinstance(x, int) for x in c):
+    if not all(type(x) is int for x in c):
         raise ValueError(f"core vector components must be ints: {c!r}")
     if len(c) != l:
         raise ValueError(f"core vector must have {l} components: {c}")

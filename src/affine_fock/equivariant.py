@@ -127,7 +127,7 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
     """
     l = check_l(l)
     c = core_quotient.check_core_vector(c, l)
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"hook count must be a non-negative int: {n!r}")
     v = [n + sum(x * x for x in c) // 2]
     for j in range(l - 1):

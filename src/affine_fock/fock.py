@@ -57,14 +57,15 @@ def label_sort_key(label):
 
 
 def vacuum(charge: int = 0) -> Vec:
-    if not isinstance(charge, int):
+    if type(charge) is not int:
         raise ValueError(f"the charge must be an int: {charge!r}")
     return Vec.basis((charge, ()))
 
 
 def check_mode(n: int) -> int:
-    """A Heisenberg mode: a nonzero int; a float is refused, not truncated."""
-    if not isinstance(n, int):
+    """A Heisenberg mode: a nonzero int; a float or bool is refused, not
+    truncated."""
+    if type(n) is not int:
         raise ValueError(f"the mode must be an int: {n!r}")
     if n == 0:
         raise ValueError("the degree-zero mode is excluded")

@@ -8,7 +8,7 @@ pass over the rows of lam (partitions.residue_boundary) yields all of it:
 the parity of the residue counts at i - 1 and i, and the residue-i
 addable and removable nodes in content order with their prefix counts, in
 O(rows) per shape. verify_relations computes each generator's image of
-each shape once per call.
+each shape once per call and composes its words on those images' terms.
 
 Vertex route: partitions transport through the l-core/l-quotient bijection
 to the lattice Fock space C[Q] x B^l, where Q is the sum-zero sublattice of
@@ -393,31 +393,42 @@ def verify_relations(l: int, max_degree: int) -> dict:
     """Chevalley-Serre relations on graded slices of the partition basis.
 
     Each generator's image of each shape is computed once per call and
-    kept in a dict local to the call, so a patched sign convention is seen
-    by the next call. Shapes are the outer loop, so failures come out
-    smallest shape first, in (i, j) order within one shape.
+    its terms kept in a dict local to the call, so a patched sign
+    convention is seen by the next call. A word is composed on those term
+    dicts, and each bracket or Serre sum is collected in one dict that
+    becomes a Vec only to be compared. Shapes are the outer loop, so
+    failures come out smallest shape first, in (i, j) order within one
+    shape.
     """
     l = check_l(l)
     failures = []
     cartan = cartan_matrix(l)
+    e, f, h = ([f"{kind}_{i}" for i in range(l)] for kind in "efh")
     images: dict = {}
 
-    def image(g: str, lam) -> Vec:
+    def image(g: str, lam) -> dict:
         out = images.get((g, lam))
         if out is None:
-            out = images[(g, lam)] = explicit_action(g, Vec.basis(lam), l)
+            out = images[(g, lam)] = explicit_action(g, Vec.basis(lam), l).terms
         return out
 
-    def apply_word(word, v: Vec) -> Vec:
-        """Apply generator names right to left, the composition order."""
-        for g in reversed(word):
-            v = v.apply(lambda lam: image(g, lam))
-            if not v:
-                break
-        return v
+    def add_word(out: dict, scale: int, word, lam) -> None:
+        """Add scale times the word applied to b_lam into out. Names apply
+        right to left, the composition order; the last one adds into out."""
+        terms = {lam: scale}
+        for n, g in enumerate(reversed(word), 1):
+            step = out if n == len(word) else {}
+            for mu, c in terms.items():
+                if c:  # a term cancelled on the way has no image to fetch
+                    for nu, d in image(g, mu).items():
+                        step[nu] = step.get(nu, 0) + c * d
+            terms = step
 
-    def bracket(x: str, y: str, v: Vec) -> Vec:
-        return apply_word((x, y), v) - apply_word((y, x), v)
+    def bracket(x: str, y: str, lam) -> Vec:
+        out: dict = {}
+        add_word(out, 1, (x, y), lam)
+        add_word(out, -1, (y, x), lam)
+        return Vec(out)
 
     def record(name, lam, lhs, rhs):
         failures.append(
@@ -425,36 +436,36 @@ def verify_relations(l: int, max_degree: int) -> dict:
         )
 
     for lam in partitions_up_to(max_degree):
-        v = Vec.basis(lam)
         room = max_degree - sum(lam)
         for i in range(l):
             for j in range(l):
+                a = cartan[i][j]
                 # [h_i, e_j] = A_ij e_j needs no headroom (e lowers degree)
-                lhs = bracket(f"h_{i}", f"e_{j}", v)
-                rhs = cartan[i][j] * image(f"e_{j}", lam)
+                lhs = bracket(h[i], e[j], lam)
+                rhs = Vec({mu: a * c for mu, c in image(e[j], lam).items()})
                 if lhs != rhs:
                     record(f"[h_{i},e_{j}]", lam, lhs, rhs)
                 if room >= 1:
-                    lhs = bracket(f"h_{i}", f"f_{j}", v)
-                    rhs = -cartan[i][j] * image(f"f_{j}", lam)
+                    lhs = bracket(h[i], f[j], lam)
+                    rhs = Vec({mu: -a * c for mu, c in image(f[j], lam).items()})
                     if lhs != rhs:
                         record(f"[h_{i},f_{j}]", lam, lhs, rhs)
-                    lhs = bracket(f"e_{i}", f"f_{j}", v)
-                    rhs = image(f"h_{i}", lam) if i == j else Vec.zero()
+                    lhs = bracket(e[i], f[j], lam)
+                    rhs = Vec(image(h[i], lam) if i == j else None)
                     if lhs != rhs:
                         record(f"[e_{i},f_{j}]", lam, lhs, rhs)
                 if i != j:
                     # the f relation needs headroom for power + 1 nodes
-                    power = 1 - cartan[i][j]
-                    for kind, need in (("e", 0), ("f", power + 1)):
+                    power = 1 - a
+                    for x, y, need in ((e[i], e[j], 0), (f[i], f[j], power + 1)):
                         if room < need:
                             continue
-                        x, y = f"{kind}_{i}", f"{kind}_{j}"
-                        lhs = Vec.zero()
+                        out: dict = {}
                         for k in range(power + 1):
                             sign = -1 if k % 2 else 1
                             word = (x,) * (power - k) + (y,) + (x,) * k
-                            lhs = lhs + sign * comb(power, k) * apply_word(word, v)
+                            add_word(out, sign * comb(power, k), word, lam)
+                        lhs = Vec(out)
                         if lhs:
                             record(f"serre {x},{y}", lam, lhs, Vec.zero())
     return fock.report(failures, l=l, degree=max_degree)

@@ -11,6 +11,11 @@ the second row node of (1, 1) has content +1.
 Vec is the one sparse exact-vector type: the charged Fock labels, the
 lattice labels and the partitions all index Vecs, and LaurentPoly is a Vec
 on integer exponents with the polynomial product added.
+
+Every int argument check of the library (as_partition, check_l,
+check_residue, core_quotient.check_core_vector, fock.check_mode) keeps one
+rule, the CLI's: only `type(x) is int` passes, so a float is refused, not
+truncated, and a bool is not an int.
 """
 
 from __future__ import annotations
@@ -21,11 +26,12 @@ from typing import Iterable, Iterator
 
 def as_partition(parts: Iterable[int]) -> tuple[int, ...]:
     """Validate a partition given as any iterable of ints, in one pass (a
-    float is refused, not truncated; a part <= 0 outranks an ascent)."""
+    float or bool is refused, not truncated; a part <= 0 outranks an
+    ascent)."""
     lam = tuple(parts)
     prev, ordered = (lam[0] if lam else 0), True
     for p in lam:
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise ValueError(f"partition parts must be ints: {lam!r}")
         if p <= 0:
             raise ValueError(f"partition parts must be positive: {lam}")
@@ -65,15 +71,22 @@ def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
 class Vec:
     """Finite linear combination of hashable basis labels.
 
-    Coefficients are stored as given: ints on every route but the
-    geometric one, which divides and so yields Fractions. Sums, negatives
-    and scalar multiples keep the subclass (LaurentPoly stays LaurentPoly).
+    The constructor takes a dict, an iterable of (label, coefficient) pairs
+    or None, copies it and drops zero coefficients; no operation keeps a
+    zero coefficient. `terms` is never mutated after construction, so a
+    Vec may share it with another (one-term `apply` does). Coefficients are
+    stored as given: ints on every route but the geometric one, which
+    divides and so yields Fractions. Sums, negatives and scalar multiples
+    keep the subclass (LaurentPoly stays LaurentPoly); `apply` returns a
+    plain Vec.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: v for k, v in dict(terms or {}).items() if v}
+        if not isinstance(terms, dict):
+            terms = dict(terms or ())
+        self.terms = {k: v for k, v in terms.items() if v}
 
     @classmethod
     def basis(cls, label) -> "Vec":
@@ -116,7 +129,16 @@ class Vec:
         return hash(frozenset(self.terms.items()))
 
     def apply(self, fn) -> "Vec":
-        """Extend fn: label -> Vec linearly."""
+        """Extend fn: label -> Vec linearly. A one-term Vec with
+        coefficient 1 returns a Vec sharing its image's terms."""
+        if len(self.terms) == 1:
+            ((label, coeff),) = self.terms.items()
+            image = fn(label).terms
+            if coeff == 1:
+                out = Vec.__new__(Vec)
+                out.terms = image
+                return out
+            return Vec({out_label: coeff * c for out_label, c in image.items()})
         out: dict = {}
         for label, coeff in self.terms.items():
             for out_label, out_coeff in fn(label).terms.items():
@@ -211,10 +233,10 @@ def diagonal_char(lam: tuple[int, ...]) -> LaurentPoly:
 
 def check_l(l: int) -> int:
     """The number of residue classes of the affine action: an int (a float
-    is refused, not truncated), at least two. (Strand and abacus routines
-    also take l = 1 and keep their own check.)
+    or bool is refused, not truncated), at least two. (Strand and abacus
+    routines also take l = 1 and keep their own check.)
     """
-    if not isinstance(l, int):
+    if type(l) is not int:
         raise ValueError(f"the number of residue classes must be an int: {l!r}")
     if l < 2:
         raise ValueError(f"need at least two residue classes: {l}")
@@ -222,7 +244,10 @@ def check_l(l: int) -> int:
 
 
 def check_residue(i: int, l: int) -> int:
-    """A residue class mod l, given by its representative 0..l-1."""
+    """A residue class mod l, given by its representative 0..l-1 (a float
+    or bool is refused, not truncated)."""
+    if type(i) is not int:
+        raise ValueError(f"residue must be an int: {i!r}")
     if not 0 <= i <= l - 1:
         raise ValueError(f"residue must be 0..{l - 1}: {i}")
     return i

@@ -2,7 +2,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import hypothesis.strategies as st
 import pytest
@@ -461,3 +461,90 @@ def test_relations_failures_smallest_shape_first(monkeypatch):
             ij_a = [int(n) for n in re.findall(r"\d+", a["generator"])]
             ij_b = [int(n) for n in re.findall(r"\d+", b["generator"])]
             assert ij_a <= ij_b
+
+
+def vec_level_relations(l, max_degree):
+    """The relations suite composed on Vecs, one Vec.apply per generator
+    step and a Vec difference per bracket: the oracle of the suite's
+    composition on term dicts."""
+    failures = []
+    cartan = fk.cartan_matrix(l)
+    images = {}
+
+    def image(g, lam):
+        out = images.get((g, lam))
+        if out is None:
+            out = images[(g, lam)] = fk.explicit_action(g, Vec.basis(lam), l)
+        return out
+
+    def apply_word(word, v):
+        for g in reversed(word):
+            v = v.apply(lambda lam: image(g, lam))
+            if not v:
+                break
+        return v
+
+    def bracket(x, y, v):
+        return apply_word((x, y), v) - apply_word((y, x), v)
+
+    def record(name, lam, lhs, rhs):
+        failures.append(fock.failure(
+            name, fk.shape_label_json(lam), fk.shape_vec_json(lhs), fk.shape_vec_json(rhs)))
+
+    for lam in partitions_up_to(max_degree):
+        v = Vec.basis(lam)
+        room = max_degree - sum(lam)
+        for i in range(l):
+            for j in range(l):
+                lhs = bracket(f"h_{i}", f"e_{j}", v)
+                rhs = cartan[i][j] * image(f"e_{j}", lam)
+                if lhs != rhs:
+                    record(f"[h_{i},e_{j}]", lam, lhs, rhs)
+                if room >= 1:
+                    lhs = bracket(f"h_{i}", f"f_{j}", v)
+                    rhs = -cartan[i][j] * image(f"f_{j}", lam)
+                    if lhs != rhs:
+                        record(f"[h_{i},f_{j}]", lam, lhs, rhs)
+                    lhs = bracket(f"e_{i}", f"f_{j}", v)
+                    rhs = image(f"h_{i}", lam) if i == j else Vec.zero()
+                    if lhs != rhs:
+                        record(f"[e_{i},f_{j}]", lam, lhs, rhs)
+                if i != j:
+                    power = 1 - cartan[i][j]
+                    for kind, need in (("e", 0), ("f", power + 1)):
+                        if room < need:
+                            continue
+                        x, y = f"{kind}_{i}", f"{kind}_{j}"
+                        lhs = Vec.zero()
+                        for k in range(power + 1):
+                            sign = -1 if k % 2 else 1
+                            word = (x,) * (power - k) + (y,) + (x,) * k
+                            lhs = lhs + sign * comb(power, k) * apply_word(word, v)
+                        if lhs:
+                            record(f"serre {x},{y}", lam, lhs, Vec.zero())
+    return fock.report(failures, l=l, degree=max_degree)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_relations_match_the_vec_level_oracle(monkeypatch, l, side):
+    monkeypatch.setattr(fk, "ETA_SCAN_SIDE", side)
+    want = vec_level_relations(l, 7)
+    assert want["status"] == "ok"
+    assert fk.verify_relations(l, 7) == want
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_relations_match_the_oracle_on_a_broken_sign(monkeypatch, l):
+    # the failures list, in order, is the oracle's
+    plain = fk.explicit_action
+
+    def broken(g, v, l):
+        out = plain(g, v, l)
+        (lam,) = v.terms
+        return -out if (g, sum(lam)) in (("h_0", 4), ("h_1", 1), ("f_1", 2)) else out
+
+    monkeypatch.setattr(fk, "explicit_action", broken)
+    want = vec_level_relations(l, 7)
+    assert want["status"] == "mismatch" and len(want["failures"]) > 1
+    assert fk.verify_relations(l, 7) == want

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 from affine_fock import cli
@@ -54,3 +55,24 @@ def test_real_cli_ends_the_climb():
 
 def test_frontier_climbs_every_cli_suite():
     assert set(load_frontier().SUITES) == set(cli._SUITES)
+
+
+def test_rows_go_to_json_only_when_asked(monkeypatch, tmp_path, capsys):
+    frontier = load_frontier()
+    monkeypatch.setattr(frontier, "SUITES", ("relations", "geometric"))
+    monkeypatch.setattr(frontier, "run_once", lambda suite, l, degree, budget: (
+        ("ok", 1.0) if suite == "relations" and degree < 8 else ("exit 1", 0.5)))
+    assert frontier.main([]) == 0
+    table = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    out = tmp_path / "rows.json"
+    assert frontier.main([str(out)]) == 0
+    assert capsys.readouterr().out == table
+    assert json.loads(out.read_text()) == [
+        {"suite": "relations", "l": 3, "budget_s": 10.0, "runs": 3, "frontier": 7,
+         "median_s": 1.0, "min_s": 1.0, "max_s": 1.0, "next_degree": 8,
+         "next_outcome": "exit 1 after 0.5 s, exit 1 after 0.5 s"},
+        {"suite": "geometric", "l": 3, "budget_s": 10.0, "runs": 3, "frontier": None,
+         "median_s": None, "min_s": None, "max_s": None, "next_degree": 6,
+         "next_outcome": "exit 1 after 0.5 s, exit 1 after 0.5 s"},
+    ]

@@ -45,6 +45,33 @@ def test_non_int_is_refused_not_truncated(call, value):
         call()
 
 
+def test_non_int_residue_is_refused():
+    # a float residue used to run silently: h_1.5 gave 0 and e_1.0 was e_1
+    with pytest.raises(ValueError, match=re.escape("1.5")):
+        fk.explicit_h(1.5, Vec.basis((2, 1)), 3)
+    with pytest.raises(ValueError, match=re.escape("1.0")):
+        fk.explicit_e(1.0, Vec.basis((2,)), 2)
+    assert pt.check_residue(1, 2) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: pt.as_partition((True,)),
+        lambda: pt.check_l(True),
+        lambda: pt.check_residue(True, 2),
+        lambda: core_quotient.check_core_vector((True, -1), 2),
+        lambda: fock.check_mode(True),
+    ],
+    ids=["as_partition", "check_l", "check_residue", "check_core_vector", "check_mode"],
+)
+def test_bool_is_not_an_int(call):
+    """The library's int checks keep the CLI's rule, which refuses a JSON
+    true: a bool is not an int."""
+    with pytest.raises(ValueError, match="True"):
+        call()
+
+
 def test_nodes_and_contents():
     assert list(pt.nodes((2, 1))) == [(0, 0), (0, 1), (1, 0)]
     assert [pt.content(x) for x in pt.nodes((2, 1))] == [0, -1, 1]
@@ -289,10 +316,44 @@ def test_laurent_is_a_vec():
     keeps the subclass (and so its repr and polynomial product)."""
     p, q = LaurentPoly({1: 2, -1: 1}), LaurentPoly({0: 1})
     assert isinstance(p, Vec) and p.terms == {1: 2, -1: 1}
-    for r in (-p, p - q, p + q, 2 * p, p * 2):
+    for r in (-p, p - q, p + q, 2 * p, p * 2, p * q):
         assert type(r) is LaurentPoly
     assert repr(-p) == "-1*z^-1 + -2*z"
     assert (2 * p) * q == LaurentPoly({1: 4, -1: 2})
+
+
+def test_vec_constructor_copies_and_drops_zeros():
+    source = {"a": 1, "b": 0, "c": -2}
+    v = Vec(source)
+    assert v.terms == {"a": 1, "c": -2}
+    source["a"] = 5
+    source["d"] = 1
+    assert v.terms == {"a": 1, "c": -2}
+    assert Vec([("a", 1), ("b", 0)]).terms == {"a": 1}
+    assert Vec([("a", 1), ("a", 0)]).terms == {}  # the last pair wins, as in dict()
+    assert Vec().terms == Vec(None).terms == Vec({}).terms == Vec([]).terms == {}
+    assert Vec(source).terms is not source
+
+
+def test_vec_operations_drop_zero_coefficients():
+    u, w = Vec({"a": 1, "b": 2}), Vec({"a": -1, "b": 3})
+    assert (u + w).terms == {"b": 5}
+    assert (u - u).terms == {} and not u - u
+    assert (u - Vec({"b": 2})).terms == {"a": 1}
+    # two labels whose images cancel, and a one-term vector whose image is 0
+    assert u.apply(lambda x: Vec({"z": 2 if x == "a" else -1})).terms == {}
+    assert Vec.basis("a").apply(lambda x: Vec.zero()).terms == {}
+    assert (3 * Vec.basis("a")).apply(lambda x: Vec({"y": 1, "z": -1})).terms == {"y": 3, "z": -3}
+
+
+def test_one_term_apply_is_a_plain_vec():
+    poly = LaurentPoly({1: 2, -1: 1})
+    one = Vec.basis("a").apply(lambda x: poly)
+    assert type(one) is Vec and one.terms == poly.terms
+    scaled = (2 * Vec.basis("a")).apply(lambda x: poly)
+    assert type(scaled) is Vec and scaled.terms == {1: 4, -1: 2}
+    assert type(Vec({"a": 1, "b": 1}).apply(lambda x: poly)) is Vec
+    assert poly.terms == {1: 2, -1: 1}
 
 
 def test_enumeration_counts_and_order():

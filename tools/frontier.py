@@ -13,15 +13,17 @@ frontier is the last degree that did; degrees below 6 are taken to be
 cheaper. The source tree is the one this script sits in (its `src/` goes
 first on PYTHONPATH), so nothing needs to be installed.
 
-    python3 tools/frontier.py
+    python3 tools/frontier.py [rows.json]
 
 Prints one Markdown table row per suite: the frontier degree with the
 median and the min-max of its three wall times, and what happened at the
-next degree. Standard library only.
+next degree. Given a path, it also writes the same rows there as a JSON
+list (see `as_row`). Standard library only.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -84,17 +86,31 @@ def frontier(suite: str, l: int, budget: float, start: int):
         best, best_s, degree = degree, spread(runs), degree + 1
 
 
-def main() -> int:
+def as_row(suite: str, l: int, budget: float, best, best_s, nxt, outcome) -> dict:
+    """One frontier result as a JSON object; seconds are None when no
+    degree passed."""
+    median_s, min_s, max_s = best_s or (None, None, None)
+    return {"suite": suite, "l": l, "budget_s": budget, "runs": RUNS,
+            "frontier": best, "median_s": median_s, "min_s": min_s, "max_s": max_s,
+            "next_degree": nxt, "next_outcome": outcome}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     l, budget, start = 3, 10.0, 6
+    rows = []
     print(f"| suite (l={l}) | frontier at {budget:g} s, median (min-max) of {RUNS} | next degree |")
     print("|---|---|---|")
     for suite in SUITES:
         best, best_s, nxt, outcome = frontier(suite, l, budget, start)
+        rows.append(as_row(suite, l, budget, best, best_s, nxt, outcome))
         if best is None:
             found = f"below d = {nxt}"
         else:
             found = "d = {} ({:.1f} s, {:.1f}-{:.1f})".format(best, *best_s)
         print(f"| {suite} | {found} | d = {nxt}: {outcome} |", flush=True)
+    if argv:
+        Path(argv[0]).write_text(json.dumps(rows, indent=1) + "\n")
     return 0
 
 
