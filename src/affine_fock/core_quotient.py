@@ -18,6 +18,8 @@ from .partitions import LaurentPoly, as_partition, diagonal_char, hook_lengths, 
 
 
 def _check_strands(l: int) -> None:
+    if type(l) is not int:
+        raise ValueError(f"number of strands must be an int: {l!r}")
     if l < 1:
         raise ValueError("number of strands must be positive")
 

@@ -412,22 +412,26 @@ def verify_relations(l: int, max_degree: int) -> dict:
             out = images[(g, lam)] = explicit_action(g, Vec.basis(lam), l).terms
         return out
 
-    def add_word(out: dict, scale: int, word, lam) -> None:
-        """Add scale times the word applied to b_lam into out. Names apply
-        right to left, the composition order; the last one adds into out."""
-        terms = {lam: scale}
-        for n, g in enumerate(reversed(word), 1):
-            step = out if n == len(word) else {}
+    def compose(word, lam) -> dict:
+        """The terms of the word applied to b_lam. Names apply right to
+        left, the composition order."""
+        terms = {lam: 1}
+        for g in reversed(word):
+            step: dict = {}
             for mu, c in terms.items():
                 if c:  # a term cancelled on the way has no image to fetch
                     for nu, d in image(g, mu).items():
                         step[nu] = step.get(nu, 0) + c * d
             terms = step
+        return terms
+
+    def add(out: dict, scale: int, terms: dict) -> None:
+        for nu, d in terms.items():
+            out[nu] = out.get(nu, 0) + scale * d
 
     def bracket(x: str, y: str, lam) -> Vec:
-        out: dict = {}
-        add_word(out, 1, (x, y), lam)
-        add_word(out, -1, (y, x), lam)
+        out = compose((x, y), lam)
+        add(out, -1, compose((y, x), lam))
         return Vec(out)
 
     def record(name, lam, lhs, rhs):
@@ -464,7 +468,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
                         for k in range(power + 1):
                             sign = -1 if k % 2 else 1
                             word = (x,) * (power - k) + (y,) + (x,) * k
-                            add_word(out, sign * comb(power, k), word, lam)
+                            add(out, sign * comb(power, k), compose(word, lam))
                         lhs = Vec(out)
                         if lhs:
                             record(f"serre {x},{y}", lam, lhs, Vec.zero())

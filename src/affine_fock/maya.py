@@ -185,6 +185,8 @@ def node_patterns(m: Maya) -> list[tuple[int, str]]:
 
 def strand_positions(l: int) -> tuple[Fraction, ...]:
     """The half-integer strand labels 1/2, 3/2, ..., l - 1/2."""
+    if type(l) is not int:
+        raise ValueError(f"number of strands must be an int: {l!r}")
     if l < 1:
         raise ValueError("number of strands must be positive")
     return tuple(Fraction(2 * i + 1, 2) for i in range(l))

@@ -12,10 +12,10 @@ Vec is the one sparse exact-vector type: the charged Fock labels, the
 lattice labels and the partitions all index Vecs, and LaurentPoly is a Vec
 on integer exponents with the polynomial product added.
 
-Every int argument check of the library (as_partition, check_l,
-check_residue, core_quotient.check_core_vector, fock.check_mode) keeps one
-rule, the CLI's: only `type(x) is int` passes, so a float is refused, not
-truncated, and a bool is not an int.
+The checks of partitions, partition sizes and size bounds, l, residues,
+strand and modulus counts, core vectors, Heisenberg modes and charges keep
+one rule, the CLI's: only `type(x) is int` passes, so a float is refused,
+not truncated, and a bool is not an int.
 """
 
 from __future__ import annotations
@@ -73,9 +73,8 @@ class Vec:
 
     The constructor takes a dict, an iterable of (label, coefficient) pairs
     or None, copies it and drops zero coefficients; no operation keeps a
-    zero coefficient. `terms` is never mutated after construction, so a
-    Vec may share it with another (one-term `apply` does). Coefficients are
-    stored as given: ints on every route but the geometric one, which
+    zero coefficient. `terms` is never mutated after construction.
+    Coefficients are stored as given: ints on every route but the geometric one, which
     divides and so yields Fractions. Sums, negatives and scalar multiples
     keep the subclass (LaurentPoly stays LaurentPoly); `apply` returns a
     plain Vec.
@@ -129,16 +128,7 @@ class Vec:
         return hash(frozenset(self.terms.items()))
 
     def apply(self, fn) -> "Vec":
-        """Extend fn: label -> Vec linearly. A one-term Vec with
-        coefficient 1 returns a Vec sharing its image's terms."""
-        if len(self.terms) == 1:
-            ((label, coeff),) = self.terms.items()
-            image = fn(label).terms
-            if coeff == 1:
-                out = Vec.__new__(Vec)
-                out.terms = image
-                return out
-            return Vec({out_label: coeff * c for out_label, c in image.items()})
+        """Extend fn: label -> Vec linearly."""
         out: dict = {}
         for label, coeff in self.terms.items():
             for out_label, out_coeff in fn(label).terms.items():
@@ -255,6 +245,8 @@ def check_residue(i: int, l: int) -> int:
 
 def residue_counts(lam: tuple[int, ...], l: int) -> tuple[int, ...]:
     """Number of nodes of each content class mod l, indexed 0..l-1."""
+    if type(l) is not int:
+        raise ValueError(f"modulus must be an int: {l!r}")
     if l < 1:
         raise ValueError("modulus must be positive")
     v = [0] * l
@@ -304,6 +296,8 @@ def residue_boundary(
     addable node (len(lam), 0) closes the boundary. Contents strictly
     increase along this walk, so no sort is needed.
     """
+    if type(l) is not int:
+        raise ValueError(f"modulus must be an int: {l!r}")
     if l < 1:
         raise ValueError("modulus must be positive")
     i %= l
@@ -397,6 +391,8 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
 
     For n = 3 this is (3,), (2, 1), (1, 1, 1).
     """
+    if type(n) is not int:
+        raise ValueError(f"can only partition an int: {n!r}")
     if n < 0:
         raise ValueError("cannot partition a negative integer")
 
@@ -417,6 +413,8 @@ def partitions_up_to(max_size: int) -> list[tuple[int, ...]]:
     A negative bound is an error rather than an empty list, so that a suite
     enumerating through here cannot pass after checking nothing.
     """
+    if type(max_size) is not int:
+        raise ValueError(f"size bound must be an int: {max_size!r}")
     if max_size < 0:
         raise ValueError(f"size bound must be nonnegative: {max_size}")
     out: list[tuple[int, ...]] = []

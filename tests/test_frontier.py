@@ -18,7 +18,7 @@ def test_climb_stops_at_the_first_run_over_budget(monkeypatch):
     frontier = load_frontier()
     tried = []
 
-    def fake_run(suite, l, degree, budget):
+    def fake_run(suite, l, degree, budget, src):
         tried.append(degree)
         return ("ok", degree / 10) if degree < 9 else ("timeout", budget)
 
@@ -60,7 +60,7 @@ def test_frontier_climbs_every_cli_suite():
 def test_rows_go_to_json_only_when_asked(monkeypatch, tmp_path, capsys):
     frontier = load_frontier()
     monkeypatch.setattr(frontier, "SUITES", ("relations", "geometric"))
-    monkeypatch.setattr(frontier, "run_once", lambda suite, l, degree, budget: (
+    monkeypatch.setattr(frontier, "run_once", lambda suite, l, degree, budget, src: (
         ("ok", 1.0) if suite == "relations" and degree < 8 else ("exit 1", 0.5)))
     assert frontier.main([]) == 0
     table = capsys.readouterr().out
@@ -76,3 +76,41 @@ def test_rows_go_to_json_only_when_asked(monkeypatch, tmp_path, capsys):
          "median_s": None, "min_s": None, "max_s": None, "next_degree": 6,
          "next_outcome": "exit 1 after 0.5 s, exit 1 after 0.5 s"},
     ]
+
+
+def test_trees_climb_in_lockstep(monkeypatch):
+    frontier = load_frontier()
+    tried = []
+    last_pass = {"a": 7, "b": 9}
+
+    def fake_run(suite, l, degree, budget, src):
+        tried.append((src, degree))
+        return ("ok", 1.0) if degree <= last_pass[src] else ("timeout", budget)
+
+    monkeypatch.setattr(frontier, "run_once", fake_run)
+    got = frontier.climb("relations", 3, 10.0, 6, ["a", "b"])
+    two_timeouts = "timeout after 10.0 s, timeout after 10.0 s"
+    assert got == [(7, (1.0, 1.0, 1.0), 8, two_timeouts), (9, (1.0, 1.0, 1.0), 10, two_timeouts)]
+    # the trees take turns to go first; a tree that stopped runs no more
+    assert tried == ([("a", 6)] * 3 + [("b", 6)] * 3 + [("b", 7)] * 3 + [("a", 7)] * 3
+                     + [("a", 8)] * 2 + [("b", 8)] * 3 + [("b", 9)] * 3 + [("b", 10)] * 2)
+
+
+def test_rows_name_their_tree_against_another(monkeypatch, tmp_path, capsys):
+    frontier = load_frontier()
+    other = tmp_path / "parent"
+    monkeypatch.setattr(frontier, "run_once", lambda suite, l, degree, budget, src: (
+        ("ok", 1.0) if degree < (7 if src == other / "src" else 8) else ("exit 1", 0.5)))
+    out = tmp_path / "rows.json"
+    assert frontier.main(["--suite", "relations", "--against", str(other), str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[2].startswith("| relations @ this | d = 7 ")
+    assert table[3].startswith(f"| relations @ {other} | d = 6 ")
+    rows = json.loads(out.read_text())
+    assert [(r["tree"], r["frontier"]) for r in rows] == [("this", 7), (str(other), 6)]
+
+
+def test_a_run_over_budget_is_killed_at_the_budget():
+    outcome, seconds = load_frontier().run_once("relations", 3, 40, 0.3)
+    assert outcome == "timeout"
+    assert 0.3 <= seconds < 5

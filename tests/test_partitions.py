@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from affine_fock import core_quotient, equivariant, fock
+from affine_fock import core_quotient, equivariant, fock, maya
 from affine_fock import frenkel_kac as fk
 from affine_fock import partitions as pt
 from affine_fock.partitions import LaurentPoly, Vec
@@ -35,8 +35,16 @@ def test_as_partition_validates():
         (lambda: fock.vacuum(1.5), 1.5),
         (lambda: fock.heis(1.5, fock.vacuum()), 1.5),
         (lambda: fk.heis_tensor(1.5, 0, Vec.basis(((0, 0), ((), ())))), 1.5),
+        (lambda: core_quotient.core_and_quotient((2, 1), 2.0), 2.0),
+        (lambda: maya.strand_positions(2.0), 2.0),
+        (lambda: pt.residue_counts((2, 1), 2.0), 2.0),
+        (lambda: pt.residue_boundary((2, 1), 0, 2.0), 2.0),
+        (lambda: pt.enumerate_partitions(2.5), 2.5),
+        (lambda: pt.partitions_up_to(2.5), 2.5),
     ],
-    ids=["as_partition", "core_and_quotient", "points_vector", "vacuum", "heis", "heis_tensor"],
+    ids=["as_partition", "core_and_quotient", "points_vector", "vacuum", "heis", "heis_tensor",
+         "strand_count", "strand_positions", "residue_counts", "residue_boundary",
+         "enumerate_partitions", "partitions_up_to"],
 )
 def test_non_int_is_refused_not_truncated(call, value):
     """Each entry refuses a float with a ValueError that names it, instead
@@ -62,8 +70,17 @@ def test_non_int_residue_is_refused():
         lambda: pt.check_residue(True, 2),
         lambda: core_quotient.check_core_vector((True, -1), 2),
         lambda: fock.check_mode(True),
+        # True used to pass for l = 1: core_and_quotient((2, 1), True) ran
+        lambda: core_quotient.core_and_quotient((2, 1), True),
+        lambda: maya.strand_positions(True),
+        lambda: pt.residue_counts((2, 1), True),
+        lambda: pt.residue_boundary((2, 1), 0, True),
+        lambda: pt.enumerate_partitions(True),
+        lambda: pt.partitions_up_to(True),
     ],
-    ids=["as_partition", "check_l", "check_residue", "check_core_vector", "check_mode"],
+    ids=["as_partition", "check_l", "check_residue", "check_core_vector", "check_mode",
+         "strand_count", "strand_positions", "residue_counts", "residue_boundary",
+         "enumerate_partitions", "partitions_up_to"],
 )
 def test_bool_is_not_an_int(call):
     """The library's int checks keep the CLI's rule, which refuses a JSON
