@@ -32,7 +32,7 @@ print("transport of b_(2,1):", fk.fk_vec_json(fk.transport(b, l)))
 
 # h_i is diagonal and integer valued.
 print("h_1 eigenvalue on b_(2,1):",
-      fk.shape_vec_json(fk.explicit_h(1, b, l)))
+      fk.shape_vec_json(fk.explicit_action("h_1", b, l)))
 
 # Whole-basis checks: intertwining on all shapes of size <= 5, and the
 # Cartan / e-f / Serre relations on degree slices.

@@ -42,7 +42,7 @@ for x in pt.removable_of_residue(lam, i, l):
     mu = pt.remove_node(lam, x)
     geo = eq.geometric_e(i, lam, mu, l)
     ratio = Fraction(eq.normalization(mu, l), eq.normalization(lam, l))
-    explicit = fk.explicit_e(i, fk.Vec.basis(lam), l).coeff(mu)
+    explicit = fk.explicit_action(f"e_{i}", fk.Vec.basis(lam), l).coeff(mu)
     print(f"remove {x}: geometric {geo} * ratio {ratio} = {geo * ratio},",
           f"explicit {explicit}")
     assert geo * ratio == explicit

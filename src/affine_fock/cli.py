@@ -31,7 +31,6 @@ from .frenkel_kac import (
 from .partitions import (
     Vec,
     as_partition,
-    check_residue,
     partitions_up_to,
     remove_node,
     removable_of_residue,
@@ -166,8 +165,7 @@ def cmd_act(args) -> int:
     l = _check_l(args.l)
     lam = _load_partition(args.lam)
     try:
-        kind, index, _mode = parse_generator(args.g)
-        check_residue(index, l)
+        kind, _p, index, _mode = parse_generator(args.g, l)
         if args.side == "explicit":
             image = explicit_action(args.g, Vec.basis(lam), l)
         elif args.side == "frenkel-kac":
@@ -231,7 +229,7 @@ def cmd_matrix(args) -> int:
     l = _check_l(args.l)
     _check_degree(args.degree)
     try:
-        parse_generator(args.g)
+        parse_generator(args.g, l)
     except ValueError as exc:
         raise _CliError(2, str(exc)) from exc
     labels = partitions_up_to(args.degree)
@@ -239,10 +237,7 @@ def cmd_matrix(args) -> int:
     def apply_fn(lam) -> Vec:
         return explicit_action(args.g, Vec.basis(lam), l)
 
-    try:
-        rows, cols, entries = fock.operator_matrix(apply_fn, labels, shape_sort_key)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
+    rows, cols, entries = fock.operator_matrix(apply_fn, labels, shape_sort_key)
     items = sorted(entries.items())
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

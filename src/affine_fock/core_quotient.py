@@ -84,6 +84,7 @@ def core_partition(c, l: int) -> tuple[int, ...]:
 
 def is_l_core(lam, l: int) -> bool:
     """True when no hook length is divisible by l."""
+    _check_strands(l)
     return all(h % l != 0 for h in hook_lengths(as_partition(lam)).values())
 
 

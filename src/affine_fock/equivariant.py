@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import prod
 
 from . import core_quotient, fock
-from .frenkel_kac import explicit_e, shape_label_json
+from .frenkel_kac import explicit_action, shape_label_json
 from .partitions import (
     LaurentPoly,
     Vec,
@@ -229,10 +229,11 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
     shapes = partitions_up_to(max_degree)
     # every mu = lam minus a node is itself in the slice
     norm = {lam: normalization(lam, l) for lam in shapes}
+    e = [f"e_{i}" for i in range(l)]
     for lam in shapes:
         c, _ = core_quotient.core_and_quotient(lam, l)
         for i in range(l):
-            image = explicit_e(i, Vec.basis(lam), l)
+            image = explicit_action(e[i], Vec.basis(lam), l)
             for x in removable_of_residue(lam, i, l):
                 mu = remove_node(lam, x)
                 want = image.coeff(mu)

@@ -315,6 +315,9 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     max_degree, and every mode whose image stays within max_degree. Returns
     a report dict with a failures list.
     """
+    for bound in (max_degree, max_charge):
+        if type(bound) is not int:
+            raise ValueError(f"degree and charge bounds must be ints: {bound!r}")
     if max_degree < 0 or max_charge < 0:
         raise ValueError(
             f"degree and charge bounds must be nonnegative: {max_degree}, {max_charge}"

@@ -38,8 +38,10 @@ makes the relations close: e-type generators are dressed by eps(alpha,
 beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
 
 Every generator of residue i is read off one runner pair, p = (i - 1) mod l
-and q = i, which at i = 0 wraps from strand l - 1 to strand 0 (fk_action);
-explicit_p hops beads on the same two abacus runners.
+and q = i, which at i = 0 wraps from strand l - 1 to strand 0. Each route
+has one entry, explicit_action and fk_action, and both take p and q from
+one parse_generator; on the explicit route p_i(m) hops beads on the same
+two abacus runners.
 
 verify_intertwining checks that the transport intertwines the two routes;
 verify_relations checks the Chevalley-Serre relations degreewise.
@@ -47,6 +49,8 @@ verify_relations checks the Chevalley-Serre relations degreewise.
 
 from __future__ import annotations
 
+import re
+from functools import cache
 from math import comb
 
 from . import core_quotient, fock
@@ -212,21 +216,28 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
 
 # ----------------------------------------------------- generator actions
 
-def parse_generator(g: str) -> tuple[str, int, int | None]:
-    """Parse e_i / f_i / h_i / p_i(m) generator names."""
-    g = g.strip()
-    if "(" in g:
-        head, _, tail = g.partition("(")
-        if not tail.endswith(")"):
-            raise ValueError(f"malformed generator: {g!r}")
-        kind, _, idx = head.partition("_")
-        if kind != "p":
-            raise ValueError(f"only p takes a mode argument: {g!r}")
-        return "p", int(idx), fock.check_mode(int(tail[:-1]))
-    kind, _, idx = g.partition("_")
-    if kind not in ("e", "f", "h") or not idx.lstrip("-").isdigit():
-        raise ValueError(f"malformed generator: {g!r}")
-    return kind, int(idx), None
+# A generator name: e_i, f_i, h_i or p_i(m), the index and the mode each an
+# optional minus sign and ASCII digits.
+_GENERATOR = re.compile(r"([efhp])_(-?[0-9]+)(?:\((-?[0-9]+)\))?")
+
+
+def parse_generator(g: str, l: int) -> tuple[str, int, int, int | None]:
+    """Read a generator name once: (kind, p, q, mode), with q = i its
+    residue, p = (i - 1) mod l the other runner of its pair, and mode the
+    Heisenberg mode of p_i(m) (None for e, f and h). The grammar is checked
+    first, then the mode, then the residue."""
+    name = g.strip()
+    match = _GENERATOR.fullmatch(name)
+    if match is None or (match[1] == "p") != (match[3] is not None):
+        head, paren, tail = name.partition("(")
+        if paren and tail.endswith(")") and head.partition("_")[0] != "p":
+            raise ValueError(f"only p takes a mode argument: {name!r}")
+        raise ValueError(f"malformed generator: {name!r}")
+    kind, index, mode = match.groups()
+    if mode is not None:
+        mode = fock.check_mode(int(mode))
+    q = check_residue(int(index), l)
+    return kind, (q - 1) % l, q, mode
 
 
 def _fk_root(p: int, q: int, m: int, f_type: bool, v: Vec, l: int) -> Vec:
@@ -247,9 +258,8 @@ def fk_action(g: str, v: Vec, l: int) -> Vec:
     degree s (of the two, the negative root of sl_l takes the f dressing),
     h_i is s + beta_p - beta_q, and p_i(m) the strand-p boson minus the
     strand-q one."""
-    kind, i, mode = parse_generator(g)
-    q = check_residue(i, l)
-    p, s = (q - 1) % l, int(q == 0)
+    kind, p, q, mode = parse_generator(g, l)
+    s = int(q == 0)
     if kind == "e":
         return _fk_root(p, q, -s, bool(s), v, l)
     if kind == "f":
@@ -260,13 +270,6 @@ def fk_action(g: str, v: Vec, l: int) -> Vec:
 
 
 # ------------------------------------------------------- explicit action
-
-def _scan_right() -> bool:
-    """Whether eta counts to the right of the node (ETA_SCAN_SIDE)."""
-    if ETA_SCAN_SIDE not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
-    return ETA_SCAN_SIDE == "right"
-
 
 def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool) -> Vec:
     """e_i (step -1) or f_i (step +1) on b_lam, from one boundary scan.
@@ -291,54 +294,27 @@ def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool) -> Vec:
     return Vec(out)
 
 
-def explicit_e(i: int, v: Vec, l: int) -> Vec:
-    """Remove one node of content class i, with boundary-scan signs."""
-    i, right = check_residue(i, l), _scan_right()
-    return v.apply(lambda lam: _explicit_on_shape(-1, i, lam, l, right))
-
-
-def explicit_f(i: int, v: Vec, l: int) -> Vec:
-    """Add one node of content class i; signs read off the diagram before
-    the addition."""
-    i, right = check_residue(i, l), _scan_right()
-    return v.apply(lambda lam: _explicit_on_shape(1, i, lam, l, right))
-
-
-def explicit_h(i: int, v: Vec, l: int) -> Vec:
-    """Diagonal: addable minus removable count of the content class."""
-    i = check_residue(i, l)
-
-    def on_basis(lam) -> Vec:
-        value = sum(s for _, s, _ in residue_boundary(lam, i, l)[1])
-        return Vec({lam: value}) if value else Vec.zero()
-
-    return v.apply(on_basis)
-
-
-def explicit_p(i: int, mode: int, v: Vec, l: int) -> Vec:
-    """Loop Heisenberg on partitions by direct strand hopping.
-
-    It reads the runner pair of residue i, p = (i - 1) mod l and q = i, as
-    fk_action does: the runner-p mode minus the runner-q one, each hopping
-    one bead by mode*l along its runner.
-    """
-    i, mode = check_residue(i, l), fock.check_mode(mode)
-
-    def runner(r: int) -> Vec:
-        return v.apply(lambda lam: Vec(fock._hop_on_shape(mode, l, r, lam)))
-
-    return runner((i - 1) % l) - runner(i)
-
-
 def explicit_action(g: str, v: Vec, l: int) -> Vec:
-    kind, i, mode = parse_generator(g)
-    if kind == "e":
-        return explicit_e(i, v, l)
-    if kind == "f":
-        return explicit_f(i, v, l)
+    """Generator g of residue i on the partition basis, read off the same
+    runner pair as fk_action: e_i removes and f_i adds one residue-i node
+    with boundary-scan signs, h_i counts the addable minus the removable
+    residue-i nodes, and p_i(m) is the runner-p mode minus the runner-q
+    one, each hopping one bead by m*l along its runner."""
+    kind, p, q, mode = parse_generator(g, l)
     if kind == "h":
-        return explicit_h(i, v, l)
-    return explicit_p(i, mode, v, l)
+        return Vec(
+            {lam: sum(s for _, s, _ in residue_boundary(lam, q, l)[1]) * c
+             for lam, c in v.terms.items()}
+        )
+    if kind == "p":
+        return v.apply(
+            lambda lam: Vec(fock._hop_on_shape(mode, l, p, lam))
+            - Vec(fock._hop_on_shape(mode, l, q, lam))
+        )
+    if ETA_SCAN_SIDE not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
+    step, right = (-1 if kind == "e" else 1), ETA_SCAN_SIDE == "right"
+    return v.apply(lambda lam: _explicit_on_shape(step, q, lam, l, right))
 
 
 # ------------------------------------------------------------- suites
@@ -362,19 +338,16 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
     for every generator of default_generators.
 
     Each shape, source or output, is transported once per call and kept
-    in a dict local to the call. Shapes are the outer loop, so failures
+    in a cache local to the call. Shapes are the outer loop, so failures
     come out smallest shape first, in generator order within one shape.
     """
     l = check_l(l)
     failures = []
     generators = default_generators(l)
-    transports: dict = {}
 
+    @cache
     def transported(lam) -> Vec:
-        out = transports.get(lam)
-        if out is None:
-            out = transports[lam] = transport(Vec.basis(lam), l)
-        return out
+        return transport(Vec.basis(lam), l)
 
     for lam in partitions_up_to(max_degree):
         v = Vec.basis(lam)
@@ -393,7 +366,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
     """Chevalley-Serre relations on graded slices of the partition basis.
 
     Each generator's image of each shape is computed once per call and
-    its terms kept in a dict local to the call, so a patched sign
+    its terms kept in a cache local to the call, so a patched sign
     convention is seen by the next call. A word is composed on those term
     dicts, and each bracket or Serre sum is collected in one dict that
     becomes a Vec only to be compared. Shapes are the outer loop, so
@@ -404,13 +377,10 @@ def verify_relations(l: int, max_degree: int) -> dict:
     failures = []
     cartan = cartan_matrix(l)
     e, f, h = ([f"{kind}_{i}" for i in range(l)] for kind in "efh")
-    images: dict = {}
 
+    @cache
     def image(g: str, lam) -> dict:
-        out = images.get((g, lam))
-        if out is None:
-            out = images[(g, lam)] = explicit_action(g, Vec.basis(lam), l).terms
-        return out
+        return explicit_action(g, Vec.basis(lam), l).terms
 
     def compose(word, lam) -> dict:
         """The terms of the word applied to b_lam. Names apply right to

@@ -7,6 +7,8 @@ import sys
 import pytest
 
 from affine_fock import cli
+from affine_fock import frenkel_kac as fk
+from affine_fock.partitions import Vec
 
 
 def run_main(capsys, *argv):
@@ -142,6 +144,48 @@ def test_act_malformed_inputs_exit_2(capsys):
         "act", "--g", "f_0", "--lambda", "[]", "--l", "2", "--side", "geometric",
     )
     assert code == 2 and "e_i" in err
+
+
+# Each entry that takes a generator name reads it through one parse, so
+# the library routes and both subcommands refuse a bad name alike. After
+# strip(), the index and the mode are each an optional minus sign and ASCII
+# digits; the first nine names used to act (e_٣ as e_3, p_1(1_0) as
+# p_1(10)) or fail with int()'s own message.
+BAD_NAMES = [
+    ("e_\u0663", "malformed generator: 'e_\u0663'"),
+    ("p_1(1_0)", "malformed generator: 'p_1(1_0)'"),
+    ("p_ 1( 2 )", "malformed generator: 'p_ 1( 2 )'"),
+    ("p_+1(+2)", "malformed generator: 'p_+1(+2)'"),
+    ("e_+1", "malformed generator: 'e_+1'"),
+    ("e_--1", "malformed generator: 'e_--1'"),
+    ("p_x(1)", "malformed generator: 'p_x(1)'"),
+    ("p_1(x)", "malformed generator: 'p_1(x)'"),
+    ("p_1()", "malformed generator: 'p_1()'"),
+    ("q_1", "malformed generator: 'q_1'"),
+    (" p_1(2 ", "malformed generator: 'p_1(2'"),
+    ("e_1(2)", "only p takes a mode argument: 'e_1(2)'"),
+    ("p_1(0)", "the degree-zero mode is excluded"),
+    ("e_4", "residue must be 0..3: 4"),
+    ("p_-1(1)", "residue must be 0..3: -1"),
+]
+
+
+@pytest.mark.parametrize("g, message", BAD_NAMES, ids=[g for g, _ in BAD_NAMES])
+def test_every_entry_refuses_a_bad_name_alike(capsys, g, message):
+    l, b = 4, Vec.basis((2, 1))
+    for call in (
+        lambda: fk.explicit_action(g, b, l),
+        lambda: fk.fk_action(g, fk.transport(b, l), l),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+    for argv in (
+        ("act", "--g", g, "--lambda", "[2,1]", "--l", "4"),
+        ("act", "--g", g, "--lambda", "[2,1]", "--l", "4", "--side", "frenkel-kac"),
+        ("matrix", "--g", g, "--l", "4", "--degree", "3"),
+    ):
+        assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_negative_degree_exits_2(capsys):

@@ -111,6 +111,16 @@ def test_core_partition_is_a_core(lam, l):
     assert cq.core_and_quotient(core, l) == (c, ((),) * l)
 
 
+def test_is_l_core_checks_l():
+    # l = 0 used to raise ZeroDivisionError and l = True ran as l = 1
+    with pytest.raises(ValueError, match="must be positive"):
+        cq.is_l_core((2, 1), 0)
+    with pytest.raises(ValueError, match="True"):
+        cq.is_l_core((2, 1), True)
+    assert cq.is_l_core((2, 1), 2)
+    assert not cq.is_l_core((2, 1), 3)
+
+
 @given(partitions(), levels)
 def test_hook_count_matches_quotient_size(lam, l):
     divisible = sum(1 for h in pt.hook_lengths(lam).values() if h % l == 0)

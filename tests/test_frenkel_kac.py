@@ -62,11 +62,16 @@ def test_frozen_action_vertex_route(g, lam, l, expected):
 
 
 def test_parse_generator():
-    assert fk.parse_generator("e_0") == ("e", 0, None)
-    assert fk.parse_generator("p_2(-3)") == ("p", 2, -3)
-    for bad in ("q_1", "e", "p_0(0)", "e_x", "p_1(2"):
+    # (kind, p, q, mode): the runner pair p = (i - 1) mod l, q = i, which
+    # at i = 0 wraps to p = l - 1
+    assert fk.parse_generator("e_0", 3) == ("e", 2, 0, None)
+    assert fk.parse_generator(" f_1 ", 3) == ("f", 0, 1, None)
+    assert fk.parse_generator("h_3", 4) == ("h", 2, 3, None)
+    assert fk.parse_generator("p_2(-3)", 3) == ("p", 1, 2, -3)
+    assert fk.parse_generator("p_0(1)", 2) == ("p", 1, 0, 1)
+    for bad in ("q_1", "e", "p_0(0)", "e_x", "p_1(2", "e_3", "p_1"):
         with pytest.raises(ValueError):
-            fk.parse_generator(bad)
+            fk.parse_generator(bad, 3)
 
 
 def test_lattice_frozen():
@@ -315,7 +320,7 @@ def test_h_is_diagonal_with_node_counts():
                 want = len(pt.addable_of_residue(lam, i, l)) - len(
                     pt.removable_of_residue(lam, i, l)
                 )
-                assert fk.explicit_h(i, Vec.basis(lam), l) == want * Vec.basis(lam)
+                assert fk.explicit_action(f"h_{i}", Vec.basis(lam), l) == want * Vec.basis(lam)
 
 
 def test_default_generators():
@@ -395,8 +400,9 @@ def test_explicit_scan_matches_node_walk(monkeypatch, side):
         for lam in partitions_up_to(10):
             b = Vec.basis(lam)
             for i in range(l):
-                assert fk.explicit_e(i, b, l) == node_walk_action(-1, i, lam, l, side)
-                assert fk.explicit_f(i, b, l) == node_walk_action(1, i, lam, l, side)
+                want_e = node_walk_action(-1, i, lam, l, side)
+                assert fk.explicit_action(f"e_{i}", b, l) == want_e
+                assert fk.explicit_action(f"f_{i}", b, l) == node_walk_action(1, i, lam, l, side)
 
 
 @pytest.mark.parametrize("l, want", [(2, 628), (3, 1413)])

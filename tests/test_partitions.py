@@ -41,10 +41,14 @@ def test_as_partition_validates():
         (lambda: pt.residue_boundary((2, 1), 0, 2.0), 2.0),
         (lambda: pt.enumerate_partitions(2.5), 2.5),
         (lambda: pt.partitions_up_to(2.5), 2.5),
+        # a float degree bound used to raise a TypeError from inside range()
+        (lambda: fock.verify_boson_fermion(1.5, 0), 1.5),
+        (lambda: fock.verify_boson_fermion(2, 1.0), 1.0),
     ],
     ids=["as_partition", "core_and_quotient", "points_vector", "vacuum", "heis", "heis_tensor",
          "strand_count", "strand_positions", "residue_counts", "residue_boundary",
-         "enumerate_partitions", "partitions_up_to"],
+         "enumerate_partitions", "partitions_up_to", "boson_fermion_degree",
+         "boson_fermion_charge"],
 )
 def test_non_int_is_refused_not_truncated(call, value):
     """Each entry refuses a float with a ValueError that names it, instead
@@ -54,11 +58,12 @@ def test_non_int_is_refused_not_truncated(call, value):
 
 
 def test_non_int_residue_is_refused():
-    # a float residue used to run silently: h_1.5 gave 0 and e_1.0 was e_1
+    # a float residue used to run silently: h_1.5 gave 0 and e_1.0 was e_1;
+    # a generator name can no longer carry one, so the check is the gate
     with pytest.raises(ValueError, match=re.escape("1.5")):
-        fk.explicit_h(1.5, Vec.basis((2, 1)), 3)
+        pt.check_residue(1.5, 3)
     with pytest.raises(ValueError, match=re.escape("1.0")):
-        fk.explicit_e(1.0, Vec.basis((2,)), 2)
+        pt.check_residue(1.0, 2)
     assert pt.check_residue(1, 2) == 1
 
 
@@ -77,10 +82,13 @@ def test_non_int_residue_is_refused():
         lambda: pt.residue_boundary((2, 1), 0, True),
         lambda: pt.enumerate_partitions(True),
         lambda: pt.partitions_up_to(True),
+        # True used to run as degree 1, and is_l_core((2, 1), True) as l = 1
+        lambda: fock.verify_boson_fermion(True, 0),
+        lambda: core_quotient.is_l_core((2, 1), True),
     ],
     ids=["as_partition", "check_l", "check_residue", "check_core_vector", "check_mode",
          "strand_count", "strand_positions", "residue_counts", "residue_boundary",
-         "enumerate_partitions", "partitions_up_to"],
+         "enumerate_partitions", "partitions_up_to", "boson_fermion", "is_l_core"],
 )
 def test_bool_is_not_an_int(call):
     """The library's int checks keep the CLI's rule, which refuses a JSON

@@ -37,7 +37,7 @@ def test_non_integer_l_is_rejected_not_truncated(suite, l):
         suite(l, 3)
 
 
-def _scan_right(monkeypatch):
+def _eta_scan_right(monkeypatch):
     monkeypatch.setattr(fk, "ETA_SCAN_SIDE", "right")
 
 
@@ -73,11 +73,11 @@ def _negated(generator):
 # (suite, l, degree, the layer to break, sha256 of the mismatch report)
 MISMATCHES = [
     (
-        "frenkel-kac", 3, 4, _scan_right,
+        "frenkel-kac", 3, 4, _eta_scan_right,
         "e9f8c10aadf3be742b9d8e0c40de8352753e1daf51906273ab56a7a1035eace4",
     ),
     (
-        "geometric", 3, 4, _scan_right,
+        "geometric", 3, 4, _eta_scan_right,
         "333163cababd7655211cf2311a80a479bfb44d54939b61f69bbd024d9b605adc",
     ),
     (
@@ -94,7 +94,7 @@ MISMATCHES = [
     ),
     # at scale: many failures over many shapes, listed smallest shape first
     (
-        "frenkel-kac", 4, 6, _scan_right,
+        "frenkel-kac", 4, 6, _eta_scan_right,
         "675d3c9b770f91032e65b167638f5fdb0e532032bccbcaaa04f5b58a5c2cfcf2",
     ),
     (
@@ -123,7 +123,7 @@ def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, di
     "run, breaks",
     [
         (lambda: fock.verify_boson_fermion(4, 2), _fermion_sign_plus),
-        (lambda: fk.verify_intertwining(3, 4), _scan_right),
+        (lambda: fk.verify_intertwining(3, 4), _eta_scan_right),
     ],
     ids=["boson-fermion", "frenkel-kac"],
 )
