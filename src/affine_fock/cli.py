@@ -228,16 +228,16 @@ def cmd_verify(args) -> int:
 def cmd_matrix(args) -> int:
     l = _check_l(args.l)
     _check_degree(args.degree)
-    try:
-        parse_generator(args.g, l)
-    except ValueError as exc:
-        raise _CliError(2, str(exc)) from exc
-    labels = partitions_up_to(args.degree)
 
     def apply_fn(lam) -> Vec:
         return explicit_action(args.g, Vec.basis(lam), l)
 
-    rows, cols, entries = fock.operator_matrix(apply_fn, labels, shape_sort_key)
+    try:
+        parse_generator(args.g, l)  # before the slice is enumerated
+        labels = partitions_up_to(args.degree)
+        rows, cols, entries = fock.operator_matrix(apply_fn, labels, shape_sort_key)
+    except ValueError as exc:
+        raise _CliError(2, str(exc)) from exc
     items = sorted(entries.items())
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -14,7 +14,7 @@ partition size decomposes as |lam| = |core| + l * (total quotient size).
 
 from __future__ import annotations
 
-from .partitions import LaurentPoly, as_partition, diagonal_char, hook_lengths, size
+from .partitions import LaurentPoly, as_partition, diagonal_char, hook_lengths
 
 
 def _check_strands(l: int) -> None:
@@ -104,17 +104,3 @@ def quotient_char_rhs(c, q, l: int) -> LaurentPoly:
         window = LaurentPoly({e: 1 for e in range(r - l + 1, r + 1)})
         total = total + diagonal_char(qr).compose_power(l).shift(l * cr) * window
     return total
-
-
-def quotient_char_identity(lam, l: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both sides of the content character decomposition, for comparison."""
-    lam = as_partition(lam)
-    c, q = core_and_quotient(lam, l)
-    return diagonal_char(lam), quotient_char_rhs(c, q, l)
-
-
-def size_decomposition(lam, l: int) -> tuple[int, int, int]:
-    """(total size, core size, hook count): total = core + l * hooks."""
-    lam = as_partition(lam)
-    c, q = core_and_quotient(lam, l)
-    return size(lam), size(core_partition(c, l)), sum(size(part) for part in q)

@@ -10,6 +10,11 @@ all single-bead hops by n steps with the fermionic sign, which on
 partition labels is the border-strip (Murnaghan-Nakayama) expansion.
 States are partitions.Vec over these labels; fock.Vec is the same class.
 
+Both fermions are one integer routine, _fermion(a, b, v): a = +1 deletes
+the bead b = j - 1/2 (psi_j) and a = -1 fills it (psi_star_j), the same a
+as the field kernel below. psi and psi_star take the half-integer j;
+verify_boson_fermion passes the integer bead straight in.
+
 The same fermions arise as coefficients of the kernel fields
 
     Psi(z)      = Gplus(z)^{-1} Gminus(z) [charge -= 1] z^{-charge_in}
@@ -32,7 +37,10 @@ The kernel coefficients are computed by the Pieri rules, in integers: the
 z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
 Gplus^{-1} a vertical d-strip (coefficient (-1)^d); the z^{-d} coefficients
 of Gminus and Gminus^{-1} remove a horizontal or a vertical d-strip with the
-same coefficients. The exponential series is never expanded.
+same coefficients. The exponential series is never expanded. A vertical
+strip is enumerated on the runs of equal rows of the shape: it adds to the
+top rows of a run and removes from the bottom ones, so no shape is
+transposed.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from functools import lru_cache
 
 from . import maya
 from .maya import HALF
-from .partitions import Vec, enumerate_partitions, transpose
+from .partitions import Vec, enumerate_partitions
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
 # position. Flipping it desynchronizes the direct fermions from the kernel
@@ -89,42 +97,37 @@ def _trim(parts) -> tuple:
     return parts[: len(parts) - parts.count(0)]
 
 
-def psi(j, v: Vec) -> Vec:
-    """Delete the particle at position j; charge drops by one.
+def _fermion(a: int, b: int, v: Vec) -> Vec:
+    """psi (a = +1: delete the bead at b, charge drops by one) or psi_star
+    (a = -1: fill the hole at b, charge rises by one) on every label of v,
+    signed by FERMION_SIGN ** k for the k beads below b.
 
-    On beads: remove the bead at b = j - 1/2. The k rows above it grow by
-    one and the rows below move up one place.
+    Deleting grows the k rows above b by one and moves the rows below up one
+    place; inserting shrinks the k rows above by one and puts a new row
+    k - c - 1 - b in at place k.
     """
-    b = maya.bead(j)
-
-    def on_basis(label) -> Vec:
-        c, lam = label
+    out: dict = {}
+    for (c, lam), coeff in v.terms.items():
         k, occupied = _bead_index(c, lam, b)
-        if not occupied:
-            return Vec.zero()
-        mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
-        return Vec({(c - 1, mu): FERMION_SIGN ** k})
+        if occupied != (a == 1):
+            continue
+        if a == 1:
+            mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
+        else:
+            mu = _trim(tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:])
+        key = (c - a, mu)
+        out[key] = out.get(key, 0) + coeff * FERMION_SIGN ** k
+    return Vec(out)
 
-    return v.apply(on_basis)
+
+def psi(j, v: Vec) -> Vec:
+    """Delete the particle at position j; charge drops by one."""
+    return _fermion(1, maya.bead(j), v)
 
 
 def psi_star(j, v: Vec) -> Vec:
-    """Insert a particle at position j; charge rises by one.
-
-    On beads: fill the hole b = j - 1/2. The k rows above it shrink by one
-    and a new row k - c - 1 - b goes in at place k.
-    """
-    b = maya.bead(j)
-
-    def on_basis(label) -> Vec:
-        c, lam = label
-        k, occupied = _bead_index(c, lam, b)
-        if occupied:
-            return Vec.zero()
-        mu = tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:]
-        return Vec({(c + 1, _trim(mu)): FERMION_SIGN ** k})
-
-    return v.apply(on_basis)
+    """Insert a particle at position j; charge rises by one."""
+    return _fermion(-1, maya.bead(j), v)
 
 
 @lru_cache(maxsize=1 << 14)
@@ -171,10 +174,6 @@ def heis(n: int, v: Vec) -> Vec:
     return v.apply(on_basis)
 
 
-def charge_shift(v: Vec, s: int) -> Vec:
-    return Vec({(c + s, lam): coeff for (c, lam), coeff in v.terms.items()})
-
-
 def _horizontal_strips(lam, d: int, add: bool) -> list:
     """Shapes mu such that mu/lam (add) or lam/mu (remove) is a horizontal
     d-strip: row i moves by at most the gap to its neighbour, which is
@@ -196,6 +195,39 @@ def _horizontal_strips(lam, d: int, add: bool) -> list:
     return out
 
 
+def _vertical_strips(lam, d: int, add: bool) -> list:
+    """Shapes mu such that mu/lam (add) or lam/mu (remove) is a vertical
+    d-strip, at most one node per row. On a run of equal rows the strip
+    takes the top rows of the run when adding and the bottom rows when
+    removing; adding may also open new rows of length 1.
+    """
+    runs = []  # [part, number of rows]
+    for p in lam:
+        if runs and runs[-1][0] == p:
+            runs[-1][1] += 1
+        else:
+            runs.append([p, 1])
+    out = []
+
+    def fill(i: int, left: int, prefix: tuple, row: int) -> None:
+        if not left:
+            out.append(prefix + lam[row:])
+        elif i == len(runs):
+            if add:
+                out.append(prefix + (1,) * left)
+        else:
+            p, n = runs[i]
+            for x in range(min(n, left) + 1):
+                if add:
+                    rows = (p + 1,) * x + (p,) * (n - x)
+                else:
+                    rows = (p,) * (n - x) + ((p - 1,) * x if p > 1 else ())
+                fill(i + 1, left - x, prefix + rows, row + n)
+
+    fill(0, d, (), 0)
+    return out
+
+
 @lru_cache(maxsize=1 << 14)
 def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     """Shape part of the Gamma kernel coefficient (charge independent).
@@ -205,17 +237,13 @@ def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     multiplies by h_d: add a horizontal d-strip, coefficient 1. Its inverse
     multiplies by (-1)^d e_d: add a vertical d-strip, coefficient (-1)^d.
     Gminus and its inverse are the adjoints: remove a horizontal d-strip,
-    coefficient 1, or a vertical d-strip, coefficient (-1)^d. A vertical
-    strip is a horizontal strip of the transposed shape.
+    coefficient 1, or a vertical d-strip, coefficient (-1)^d.
     """
     add = sign == 1
     if not inverse:
         return {mu: 1 for mu in _horizontal_strips(lam, d, add)}
     coeff = -1 if d % 2 else 1
-    return {
-        transpose(mu): coeff
-        for mu in _horizontal_strips(transpose(lam), d, add)
-    }
+    return {mu: coeff for mu in _vertical_strips(lam, d, add)}
 
 
 def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
@@ -276,28 +304,6 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     return Vec(total)
 
 
-def clifford_check(positions, states) -> list:
-    """Anticommutator defects of the fermions on the given basis states.
-
-    Returns a list of (relation, position pair, label) triples that fail;
-    empty means psi/psi_star satisfy the Clifford relations there.
-    """
-    bad = []
-    for label in states:
-        v = Vec.basis(label)
-        for x in positions:
-            for y in positions:
-                lhs = psi(x, psi_star(y, v)) + psi_star(y, psi(x, v))
-                rhs = v if x == y else Vec.zero()
-                if lhs != rhs:
-                    bad.append(("psi psi* + psi* psi", (x, y), label))
-                if psi(x, psi(y, v)) + psi(y, psi(x, v)):
-                    bad.append(("psi psi + psi psi", (x, y), label))
-                if psi_star(x, psi_star(y, v)) + psi_star(y, psi_star(x, v)):
-                    bad.append(("psi* psi* + psi* psi*", (x, y), label))
-    return bad
-
-
 def fock_labels(max_degree: int, charges=(0,)) -> list:
     """All (charge, partition) labels with the given charges, graded order."""
     out = []
@@ -331,13 +337,10 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
         c, lam = label
         size = sum(lam)
         for k, j in enumerate(modes, -reach):  # j = k + 1/2
-            for kind, direct_fn, shift in (
-                ("psi", psi, k + c),
-                ("psi_star", psi_star, -k - 1 - c),
-            ):
+            for kind, a, shift in (("psi", 1, k + c), ("psi_star", -1, -k - 1 - c)):
                 if size + shift > max_degree:
                     continue  # image is above max_degree
-                direct = direct_fn(j, v)
+                direct = _fermion(a, k, v)  # k is the bead of j
                 kernel = fermion_field_coeff(kind, j, v)
                 if direct != kernel:
                     failures.append(

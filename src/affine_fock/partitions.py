@@ -45,11 +45,6 @@ def size(lam: tuple[int, ...]) -> int:
     return sum(lam)
 
 
-def contains(lam: tuple[int, ...], node: tuple[int, int]) -> bool:
-    a, b = node
-    return 0 <= a < len(lam) and 0 <= b < lam[a]
-
-
 def content(node: tuple[int, int]) -> int:
     """Content of a node: row minus column."""
     a, b = node

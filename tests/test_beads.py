@@ -157,6 +157,27 @@ def test_fermions_match_maya_fermions():
                 assert fock.psi_star(j, v) == maya_fermion("psi_star", j, (c, lam))
 
 
+def test_fermion_routine_matches_maya_fermions():
+    """_fermion(+1 or -1, b, v) is psi or psi_star at b + 1/2 extended
+    linearly: it equals the Maya routines for every bead -10 <= b <= 10, on
+    every basis vector with |lam| <= 6 and |c| <= 2 and on sums of them
+    with mixed coefficients, sizes and charges."""
+    labels = [(c, lam) for lam in partitions_up_to(6) for c in range(-2, 3)]
+    vectors = [Vec.basis(label) for label in labels]
+    for c in range(-2, 3):
+        same_charge = [label for label in labels if label[0] == c]
+        vectors.append(Vec({label: i - 7 for i, label in enumerate(same_charge)}))
+    vectors.append(Vec({label: 3 - i % 7 for i, label in enumerate(labels)}))
+    for b in range(-10, 11):
+        for a, kind in ((1, "psi"), (-1, "psi_star")):
+            image = {label: maya_fermion(kind, b + HALF, label) for label in labels}
+            for v in vectors:
+                want = Vec.zero()
+                for label, coeff in v.terms.items():
+                    want = want + coeff * image[label]
+                assert fock._fermion(a, b, v) == want
+
+
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_hook_pairs_match_maya_hook_pairs(l):
     """hook_pairs on beads gives the Maya walk's pairs, in its order, for

@@ -188,6 +188,18 @@ def test_every_entry_refuses_a_bad_name_alike(capsys, g, message):
         assert run_main(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+def test_act_and_matrix_refuse_a_broken_scan_side_alike(capsys, monkeypatch):
+    """A bad ETA_SCAN_SIDE reaches explicit_action's one check from both
+    commands; matrix used to end in a traceback (exit 1)."""
+    monkeypatch.setattr(fk, "ETA_SCAN_SIDE", "middle")
+    message = "error: side must be 'left' or 'right', got 'middle'\n"
+    for argv in (
+        ("act", "--g", "e_1", "--lambda", "[2,1]", "--l", "3"),
+        ("matrix", "--g", "f_0", "--l", "3", "--degree", "3"),
+    ):
+        assert run_main(capsys, *argv) == (2, "", message)
+
+
 def test_negative_degree_exits_2(capsys):
     for argv in (
         ("verify", "--suite", "all", "--degree", "-1"),

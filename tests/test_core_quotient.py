@@ -92,12 +92,24 @@ def test_core_vector_refuses_non_integers():
     assert cq.cq_inverse([1, -1], ((), ()), 2) == (1,)
 
 
+def size_decomposition(lam, l: int) -> tuple[int, int, int]:
+    """(total size, core size, hook count): total = core + l * hooks."""
+    c, q = cq.core_and_quotient(lam, l)
+    return pt.size(lam), pt.size(cq.core_partition(c, l)), sum(pt.size(part) for part in q)
+
+
+def quotient_char_identity(lam, l: int):
+    """Both sides of the content character decomposition, for comparison."""
+    c, q = cq.core_and_quotient(lam, l)
+    return pt.diagonal_char(lam), cq.quotient_char_rhs(c, q, l)
+
+
 @given(partitions(), levels)
 def test_round_trip_and_size_law(lam, l):
     c, q = cq.core_and_quotient(lam, l)
     assert sum(c) == 0
     assert cq.cq_inverse(c, q, l) == lam
-    total, core, hooks = cq.size_decomposition(lam, l)
+    total, core, hooks = size_decomposition(lam, l)
     assert total == pt.size(lam)
     assert hooks == sum(pt.size(part) for part in q)
     assert total == core + l * hooks
@@ -130,7 +142,7 @@ def test_hook_count_matches_quotient_size(lam, l):
 
 @given(partitions(), levels)
 def test_quotient_character_identity(lam, l):
-    lhs, rhs = cq.quotient_char_identity(lam, l)
+    lhs, rhs = quotient_char_identity(lam, l)
     assert lhs == pt.diagonal_char(lam)
     assert lhs == rhs
 

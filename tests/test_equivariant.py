@@ -28,8 +28,8 @@ def test_tangent_two_routes_agree(lam, l):
 
 @given(partitions(max_size=10), st.integers(min_value=2, max_value=4))
 def test_tangent_dimension_is_twice_hook_count(lam, l):
-    _, _, hooks = cq.size_decomposition(lam, l)
-    assert eq.tangent_char_point(lam, l).at_one() == 2 * hooks
+    _, q = cq.core_and_quotient(lam, l)
+    assert eq.tangent_char_point(lam, l).at_one() == 2 * sum(pt.size(part) for part in q)
 
 
 @given(partitions(max_size=10), st.integers(min_value=2, max_value=4))

@@ -11,7 +11,7 @@ from affine_fock import cli, core_quotient
 from affine_fock import equivariant as eq
 from affine_fock import fock
 from affine_fock import frenkel_kac as fk
-from affine_fock.partitions import LaurentPoly
+from affine_fock.partitions import LaurentPoly, Vec
 
 SUITES_WITH_L = [
     fk.verify_intertwining,
@@ -101,6 +101,10 @@ MISMATCHES = [
         "relations", 3, 7, _negated("h_0"),
         "ff04d60bc690ae5780bd817047f4c1e189981c5cdf2a29934048ca7aaebfbbe0",
     ),
+    (
+        "boson-fermion", 2, 6, _fermion_sign_plus,
+        "3a515b7b57b91f85a066064a82cda907a412f75f7f3c99fbabd61da82c4afd04",
+    ),
 ]
 
 
@@ -172,6 +176,15 @@ def test_boson_fermion_reuses_the_strip_kernel():
     _clear_kernel_memos()
     assert fock.verify_boson_fermion(9, 2)["status"] == "ok"
     assert fock._gamma_on_shape.cache_info().hits == 14198
+
+
+def test_boson_fermion_builds_one_vec_per_route(monkeypatch):
+    """Each check builds one Vec on the direct side and one on the kernel
+    side, and each label its basis vector: 31,385 at d = 9. Going through a
+    one-term Vec per label and Vec.apply made 46,835."""
+    calls = _count_calls(monkeypatch, Vec, "__init__")
+    assert fock.verify_boson_fermion(9, 2)["status"] == "ok"
+    assert calls["calls"] <= 31385
 
 
 def test_intertwining_needs_few_kernel_entries():
