@@ -10,10 +10,8 @@ all single-bead hops by n steps with the fermionic sign, which on
 partition labels is the border-strip (Murnaghan-Nakayama) expansion.
 States are partitions.Vec over these labels; fock.Vec is the same class.
 
-Both fermions are one integer routine, _fermion(a, b, v): a = +1 deletes
-the bead b = j - 1/2 (psi_j) and a = -1 fills it (psi_star_j), the same a
-as the field kernel below. psi and psi_star take the half-integer j;
-verify_boson_fermion passes the integer bead straight in.
+Both fermions are one integer routine, _fermion(a, b, v), on the bead
+b = j - 1/2; verify_boson_fermion passes the integer bead straight in.
 
 The same fermions arise as coefficients of the kernel fields
 
@@ -29,23 +27,25 @@ There is one field kernel, the rank-one field Gplus(z)^-a Gminus(z)^a on
 one shape for a = +1 or -1 (_field_on_shape). Psi and Psi_star are its
 cases a = +1 and -1, the vertex operators X(+1, z) and X(-1, z); for a
 root alpha = e_p - e_q, frenkel_kac multiplies the a = +1 field on
-quotient shape p by the a = -1 field on shape q to get X(alpha, z). The
-kernel is memoised per (a, target, shape), since one argument recurs for
-every charge, and holds only the terms whose sum over b does not cancel.
+quotient shape p by the a = -1 field on shape q to get X(alpha, z).
 
 The kernel coefficients are computed by the Pieri rules, in integers: the
 z^d coefficient of Gplus adds a horizontal d-strip (coefficient 1), of
 Gplus^{-1} a vertical d-strip (coefficient (-1)^d); the z^{-d} coefficients
 of Gminus and Gminus^{-1} remove a horizontal or a vertical d-strip with the
-same coefficients. The exponential series is never expanded. A vertical
-strip is enumerated on the runs of equal rows of the shape: it adds to the
-top rows of a run and removes from the bottom ones, so no shape is
-transposed.
+same coefficients. The exponential series is never expanded.
+
+The memo policy of the package: a memo outlives a call only when its
+function is pure in its arguments and reads no mutation seam, as exactly
+the shape kernels _hop_on_shape, _gamma_on_shape and _field_on_shape do;
+each is an unbounded functools.cache. A memo that reads l from its call,
+or a seam, lives for one call (frenkel_kac's transported and image).
+epsilon (reads EPSILON_NEG_OFFSETS) and _fermion (FERMION_SIGN) keep none.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from . import maya
 from .maya import HALF
@@ -130,7 +130,7 @@ def psi_star(j, v: Vec) -> Vec:
     return _fermion(-1, maya.bead(j), v)
 
 
-@lru_cache(maxsize=1 << 14)
+@cache
 def _hop_on_shape(n: int, l: int, r: int, lam) -> dict:
     """Move one bead of runner r by n*l on the beads {i - lam_i}.
 
@@ -228,7 +228,7 @@ def _vertical_strips(lam, d: int, add: bool) -> list:
     return out
 
 
-@lru_cache(maxsize=1 << 14)
+@cache
 def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     """Shape part of the Gamma kernel coefficient (charge independent).
 
@@ -267,7 +267,7 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     return v.apply(on_basis)
 
 
-@lru_cache(maxsize=1 << 14)
+@cache
 def _field_on_shape(a: int, target: int, lam) -> tuple:
     """The rank-one field kernel: the z^target coefficient of
     Gplus(z)^-a Gminus(z)^a on one shape, a = +1 or -1, summed over the

@@ -78,9 +78,10 @@ EPSILON_NEG_OFFSETS = (0, 1)
 # ---------------------------------------------------------------- lattice
 
 def root(p: int, q: int, l: int) -> tuple[int, ...]:
-    """The root e_p - e_q, for two distinct strands p, q in 0..l-1."""
-    if p == q or not (0 <= p < l and 0 <= q < l):
-        raise ValueError(f"a root needs two distinct strands in 0..{l - 1}: {p}, {q}")
+    """The root e_p - e_q, for two distinct int strands p, q in 0..l-1 (a
+    bool is refused)."""
+    if type(p) is not int or type(q) is not int or p == q or not (0 <= p < l and 0 <= q < l):
+        raise ValueError(f"a root needs two distinct strands in 0..{l - 1}: {p!r}, {q!r}")
     return tuple((k == p) - (k == q) for k in range(l))
 
 
@@ -167,12 +168,13 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
 
     It is the bead hop by n with the holes-between sign: the plain mode
     times (-1)^(|n|-1), which is the plain mode conjugated by shape
-    transposition.
+    transposition. k_index is an int strand in 0..l-1, checked per label.
     """
     n = fock.check_mode(n)
 
     def on_basis(label) -> Vec:
         beta, mus = label
+        check_residue(k_index, len(mus))
         out = {}
         for mu, coeff in fock._hop_on_shape(n, 1, 0, mus[k_index]).items():
             new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
@@ -193,8 +195,10 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
     lowest nonzero mode on [beta] x b is 1 + (alpha,beta); the exponentials
     are fock's rank-one field with a = +1 on quotient shape p times the one
     with a = -1 on shape q, times (-1)^target, the strand boson's
-    transposition twist.
+    transposition twist. The mode m is an int (a float or bool is refused).
     """
+    if type(m) is not int:
+        raise ValueError(f"the vertex mode must be an int: {m!r}")
     alpha = core_quotient.check_core_vector(alpha, l)
     if sorted(alpha) != [-1] + [0] * (l - 2) + [1]:
         raise ValueError(f"not a root: {alpha}")
@@ -224,8 +228,10 @@ _GENERATOR = re.compile(r"([efhp])_(-?[0-9]+)(?:\((-?[0-9]+)\))?")
 def parse_generator(g: str, l: int) -> tuple[str, int, int, int | None]:
     """Read a generator name once: (kind, p, q, mode), with q = i its
     residue, p = (i - 1) mod l the other runner of its pair, and mode the
-    Heisenberg mode of p_i(m) (None for e, f and h). The grammar is checked
-    first, then the mode, then the residue."""
+    Heisenberg mode of p_i(m) (None for e, f and h). It checks l first
+    (check_l, so both route entries refuse a bad l), then the grammar, then
+    the mode, then the residue."""
+    l = check_l(l)
     name = g.strip()
     match = _GENERATOR.fullmatch(name)
     if match is None or (match[1] == "p") != (match[3] is not None):
@@ -337,9 +343,9 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
     """Check transport(explicit g) = fk g(transport) on all small shapes,
     for every generator of default_generators.
 
-    Each shape, source or output, is transported once per call and kept
-    in a cache local to the call. Shapes are the outer loop, so failures
-    come out smallest shape first, in generator order within one shape.
+    Each shape, source or output, is transported once per call (a memo of
+    the call; see fock's memo policy). Shapes are the outer loop, so
+    failures come out smallest shape first, in generator order per shape.
     """
     l = check_l(l)
     failures = []
@@ -365,10 +371,10 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
 def verify_relations(l: int, max_degree: int) -> dict:
     """Chevalley-Serre relations on graded slices of the partition basis.
 
-    Each generator's image of each shape is computed once per call and
-    its terms kept in a cache local to the call, so a patched sign
-    convention is seen by the next call. A word is composed on those term
-    dicts, and each bracket or Serre sum is collected in one dict that
+    Each generator's image of each shape is computed once per call (a
+    memo of the call, so the next call sees a patched seam; see fock's
+    memo policy). A word is composed on those images' term dicts,
+    and each bracket or Serre sum is collected in one dict that
     becomes a Vec only to be compared. Shapes are the outer loop, so
     failures come out smallest shape first, in (i, j) order within one
     shape.

@@ -74,6 +74,45 @@ def test_parse_generator():
             fk.parse_generator(bad, 3)
 
 
+@pytest.mark.parametrize("l", [1, 0, 2.5, 3.0, True])
+@pytest.mark.parametrize("g", ["f_0", "h_1", "p_0(1)"])
+@pytest.mark.parametrize("entry", [fk.explicit_action, fk.fk_action], ids=lambda f: f.__name__)
+def test_both_entries_refuse_a_bad_l(entry, g, l):
+    """parse_generator checks l before it reads the name. Before, l = 1
+    ran (explicit f_0 on (1,) gave (1,1) + (2,), fk p_0(1) gave 0 since
+    p = q = 0) and l = 3.0 ended in a TypeError from a tuple index."""
+    with pytest.raises(ValueError) as want:
+        pt.check_l(l)
+    v = Vec.basis(((0, 0, 0), ((), (1,), ()))) if entry is fk.fk_action else Vec.basis((1,))
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        entry(g, v, l)
+
+
+_STRANDS = Vec.basis(((0, 0, 0), ((), (1,), ())))
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        # the strand slice wrapped round at -1 into six quotient components
+        (lambda: fk.heis_tensor(-1, -1, _STRANDS), -1),
+        (lambda: fk.heis_tensor(-1, True, _STRANDS), True),  # acted on strand 1
+        (lambda: fk.heis_tensor(-1, 3, _STRANDS), 3),  # was an IndexError
+        (lambda: fk.root(True, 0, 3), True),  # was (-1, 1, 0)
+        (lambda: fk.root(0, True, 3), True),
+        (lambda: fk.vertex_coeff((1, -1, 0), True, _STRANDS, 3), True),  # ran as m = 1
+        (lambda: fk.vertex_coeff((1, -1, 0), 1.0, _STRANDS, 3), 1.0),  # was a TypeError
+    ],
+    ids=["heis_tensor-negative", "heis_tensor-bool", "heis_tensor-past-l", "root-bool-p",
+         "root-bool-q", "vertex_coeff-bool", "vertex_coeff-float"],
+)
+def test_vertex_route_inputs_keep_the_int_rule(call, value):
+    """A strand index, a root's strands and a vertex mode are ints in
+    range; anything else is a ValueError that names it."""
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call()
+
+
 def test_lattice_frozen():
     assert fk.root(0, 1, 3) == (1, -1, 0)
     assert fk.root(2, 0, 3) == (-1, 0, 1)

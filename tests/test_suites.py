@@ -2,11 +2,14 @@
 mismatch reports that stay byte-identical."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 
 import pytest
 
+import affine_fock
 from affine_fock import cli, core_quotient
 from affine_fock import equivariant as eq
 from affine_fock import fock
@@ -43,6 +46,10 @@ def _eta_scan_right(monkeypatch):
 
 def _fermion_sign_plus(monkeypatch):
     monkeypatch.setattr(fock, "FERMION_SIGN", 1)
+
+
+def _cocycle_offsets_zero(monkeypatch):
+    monkeypatch.setattr(fk, "EPSILON_NEG_OFFSETS", (0,))
 
 
 def _shifted_chamber_char(monkeypatch):
@@ -128,18 +135,38 @@ def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, di
     [
         (lambda: fock.verify_boson_fermion(4, 2), _fermion_sign_plus),
         (lambda: fk.verify_intertwining(3, 4), _eta_scan_right),
+        (lambda: fk.verify_intertwining(3, 4), _cocycle_offsets_zero),
     ],
-    ids=["boson-fermion", "frenkel-kac"],
+    ids=["boson-fermion", "frenkel-kac", "frenkel-kac-cocycle"],
 )
 def test_a_warm_memo_does_not_hide_a_seam(monkeypatch, run, breaks):
-    """The kernel caches hold nothing a seam changes: in one process a
+    """The kernel memos hold nothing a seam changes: in one process a
     suite is ok, trips once its seam is flipped, and is ok again once the
-    seam is restored."""
+    seam is restored. The three seams are FERMION_SIGN, ETA_SCAN_SIDE and
+    EPSILON_NEG_OFFSETS."""
     assert run()["status"] == "ok"
     breaks(monkeypatch)
     assert run()["status"] == "mismatch"
     monkeypatch.undo()
     assert run()["status"] == "ok"
+
+
+def test_only_the_shape_kernels_keep_a_process_memo():
+    """The memo policy in fock's docstring: a memo outlives a call only
+    when its function is pure in its arguments and reads no seam. Exactly
+    the three shape kernels do, each without a size bound."""
+    memos = {}
+    for info in pkgutil.iter_modules(affine_fock.__path__):
+        if info.name == "__main__":  # importing it would run the CLI
+            continue
+        module = importlib.import_module(f"affine_fock.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                memos[f"{info.name}.{name}"] = value
+    memos.update((f"affine_fock.{name}", value) for name, value in vars(affine_fock).items()
+                 if hasattr(value, "cache_info"))
+    assert sorted(memos) == ["fock._field_on_shape", "fock._gamma_on_shape", "fock._hop_on_shape"]
+    assert all(memo.cache_info().maxsize is None for memo in memos.values())
 
 
 def _count_calls(monkeypatch, module, name) -> dict:
