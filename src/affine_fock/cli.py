@@ -165,13 +165,13 @@ def cmd_act(args) -> int:
     l = _check_l(args.l)
     lam = _load_partition(args.lam)
     try:
-        kind, _p, index, _mode = parse_generator(args.g, l)
         if args.side == "explicit":
             image = explicit_action(args.g, Vec.basis(lam), l)
         elif args.side == "frenkel-kac":
             moved = fk_action(args.g, transport(Vec.basis(lam), l), l)
             image = transport_inverse(moved, l)
         else:
+            kind, _p, index, _mode = parse_generator(args.g, l)
             if kind != "e":
                 raise ValueError(
                     "--side geometric supports only e_i generators"

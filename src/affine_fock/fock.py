@@ -38,8 +38,10 @@ same coefficients. The exponential series is never expanded.
 The memo policy of the package: a memo outlives a call only when its
 function is pure in its arguments and reads no mutation seam, as exactly
 the shape kernels _hop_on_shape, _gamma_on_shape and _field_on_shape do;
-each is an unbounded functools.cache. A memo that reads l from its call,
-or a seam, lives for one call (frenkel_kac's transported and image).
+each is an unbounded functools.cache. Each kernel returns an immutable
+tuple of (shape, coeff) pairs, so no caller can change a cached answer,
+and Vec.apply lifts those pairs to vectors. A memo that reads l from its
+call, or a seam, lives for one call (frenkel_kac's transported and image).
 epsilon (reads EPSILON_NEG_OFFSETS) and _fermion (FERMION_SIGN) keep none.
 """
 
@@ -106,18 +108,19 @@ def _fermion(a: int, b: int, v: Vec) -> Vec:
     place; inserting shrinks the k rows above by one and puts a new row
     k - c - 1 - b in at place k.
     """
-    out: dict = {}
-    for (c, lam), coeff in v.terms.items():
+
+    def on_basis(label):
+        c, lam = label
         k, occupied = _bead_index(c, lam, b)
         if occupied != (a == 1):
-            continue
+            return ()
         if a == 1:
             mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
         else:
             mu = _trim(tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:])
-        key = (c - a, mu)
-        out[key] = out.get(key, 0) + coeff * FERMION_SIGN ** k
-    return Vec(out)
+        return (((c - a, mu), FERMION_SIGN ** k),)
+
+    return v.apply(on_basis)
 
 
 def psi(j, v: Vec) -> Vec:
@@ -131,7 +134,7 @@ def psi_star(j, v: Vec) -> Vec:
 
 
 @cache
-def _hop_on_shape(n: int, l: int, r: int, lam) -> dict:
+def _hop_on_shape(n: int, l: int, r: int, lam) -> tuple:
     """Move one bead of runner r by n*l on the beads {i - lam_i}.
 
     The runner holds the positions congruent to r mod l. The sign is
@@ -144,7 +147,7 @@ def _hop_on_shape(n: int, l: int, r: int, lam) -> dict:
     top = len(lam) + abs(stride)
     beads = [i - p for i, p in enumerate(lam)] + list(range(len(lam), top))
     occupied = set(beads)
-    out = {}
+    out = []
     for b in beads:
         q = b + stride
         if b % l != r or q >= top or q in occupied:
@@ -152,8 +155,8 @@ def _hop_on_shape(n: int, l: int, r: int, lam) -> dict:
         lo = min(b, q)
         holes = sum(1 for t in range(1, abs(n)) if lo + t * l not in occupied)
         moved = sorted(occupied - {b} | {q})
-        out[_trim(i - x for i, x in enumerate(moved))] = -1 if holes % 2 else 1
-    return out
+        out.append((_trim(i - x for i, x in enumerate(moved)), -1 if holes % 2 else 1))
+    return tuple(out)
 
 
 def heis(n: int, v: Vec) -> Vec:
@@ -166,10 +169,9 @@ def heis(n: int, v: Vec) -> Vec:
     n = check_mode(n)
     twist = 1 if n % 2 else -1
 
-    def on_basis(label) -> Vec:
+    def on_basis(label):
         c, lam = label
-        hops = _hop_on_shape(n, 1, 0, lam)
-        return Vec({(c, mu): twist * s for mu, s in hops.items()})
+        return (((c, mu), twist * s) for mu, s in _hop_on_shape(n, 1, 0, lam))
 
     return v.apply(on_basis)
 
@@ -229,7 +231,7 @@ def _vertical_strips(lam, d: int, add: bool) -> list:
 
 
 @cache
-def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
+def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> tuple:
     """Shape part of the Gamma kernel coefficient (charge independent).
 
     The Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials,
@@ -241,9 +243,9 @@ def _gamma_on_shape(sign: int, d: int, inverse: bool, lam) -> dict:
     """
     add = sign == 1
     if not inverse:
-        return {mu: 1 for mu in _horizontal_strips(lam, d, add)}
+        return tuple((mu, 1) for mu in _horizontal_strips(lam, d, add))
     coeff = -1 if d % 2 else 1
-    return {mu: coeff for mu in _vertical_strips(lam, d, add)}
+    return tuple((mu, coeff) for mu in _vertical_strips(lam, d, add))
 
 
 def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
@@ -258,11 +260,9 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     if d < 0:
         raise ValueError("coefficient degree must be nonnegative")
 
-    def on_basis(label) -> Vec:
+    def on_basis(label):
         c, lam = label
-        return Vec(
-            {(c, mu): coeff for mu, coeff in _gamma_on_shape(sign, d, inverse, lam).items()}
-        )
+        return (((c, mu), k) for mu, k in _gamma_on_shape(sign, d, inverse, lam))
 
     return v.apply(on_basis)
 
@@ -272,14 +272,12 @@ def _field_on_shape(a: int, target: int, lam) -> tuple:
     """The rank-one field kernel: the z^target coefficient of
     Gplus(z)^-a Gminus(z)^a on one shape, a = +1 or -1, summed over the
     degree b that the Gminus part removes. The Gminus part is inverted when
-    a < 0, the Gplus part when a > 0.
-
-    Returns the (mu, coeff) pairs whose sum does not cancel, as a tuple so
-    that callers cannot change the cached value."""
+    a < 0, the Gplus part when a > 0. Only the pairs whose sum does not
+    cancel are kept."""
     out: dict = {}
     for b in range(max(0, -target), sum(lam) + 1):
-        for mid, c1 in _gamma_on_shape(-1, b, a < 0, lam).items():
-            for mu, c2 in _gamma_on_shape(1, target + b, a > 0, mid).items():
+        for mid, c1 in _gamma_on_shape(-1, b, a < 0, lam):
+            for mu, c2 in _gamma_on_shape(1, target + b, a > 0, mid):
                 out[mu] = out.get(mu, 0) + c1 * c2
     return tuple((mu, c) for mu, c in out.items() if c)
 
@@ -295,13 +293,13 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     if kind not in ("psi", "psi_star"):
         raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
     a = 1 if kind == "psi" else -1
-    total: dict = {}
-    for (c, lam), coeff in v.terms.items():
+
+    def on_basis(label):
+        c, lam = label
         target = h + c if a == 1 else -h - 1 - c  # z^{-a c} already extracted
-        for mu, n in _field_on_shape(a, target, lam):
-            key = (c - a, mu)
-            total[key] = total.get(key, 0) + coeff * n
-    return Vec(total)
+        return (((c - a, mu), n) for mu, n in _field_on_shape(a, target, lam))
+
+    return v.apply(on_basis)
 
 
 def fock_labels(max_degree: int, charges=(0,)) -> list:

@@ -145,20 +145,11 @@ def shape_sort_key(lam):
 
 def transport(v: Vec, l: int) -> Vec:
     """Send b_lam to [core vector] x (quotient components)."""
-
-    def on_basis(lam) -> Vec:
-        c, q = core_quotient.core_and_quotient(lam, l)
-        return Vec.basis((c, q))
-
-    return v.apply(on_basis)
+    return v.apply(lambda lam: ((core_quotient.core_and_quotient(lam, l), 1),))
 
 
 def transport_inverse(v: Vec, l: int) -> Vec:
-    def on_basis(label) -> Vec:
-        beta, mus = label
-        return Vec.basis(core_quotient.cq_inverse(beta, mus, l))
-
-    return v.apply(on_basis)
+    return v.apply(lambda label: ((core_quotient.cq_inverse(*label, l), 1),))
 
 
 # ------------------------------------------------- strand Heisenberg part
@@ -172,14 +163,12 @@ def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
     """
     n = fock.check_mode(n)
 
-    def on_basis(label) -> Vec:
+    def on_basis(label):
         beta, mus = label
         check_residue(k_index, len(mus))
-        out = {}
-        for mu, coeff in fock._hop_on_shape(n, 1, 0, mus[k_index]).items():
-            new = mus[:k_index] + (mu,) + mus[k_index + 1 :]
-            out[(beta, new)] = coeff
-        return Vec(out)
+        head, tail = mus[:k_index], mus[k_index + 1 :]
+        hops = fock._hop_on_shape(n, 1, 0, mus[k_index])
+        return (((beta, head + (mu,) + tail), s) for mu, s in hops)
 
     return v.apply(on_basis)
 
@@ -203,19 +192,20 @@ def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
     if sorted(alpha) != [-1] + [0] * (l - 2) + [1]:
         raise ValueError(f"not a root: {alpha}")
     p, q = alpha.index(1), alpha.index(-1)
-    total: dict = {}
-    for (beta, mus), coeff in v.terms.items():
+
+    def on_basis(label):
+        beta, mus = label
         target = m - 1 - pairing(alpha, beta)
         out_beta = tuple(b + a for b, a in zip(beta, alpha))
-        sign = -coeff if target % 2 else coeff
+        sign = -1 if target % 2 else 1
         for t in range(-sum(mus[p]), target + sum(mus[q]) + 1):
             for mu_p, c_p in fock._field_on_shape(1, t, mus[p]):
                 for mu_q, c_q in fock._field_on_shape(-1, target - t, mus[q]):
                     shapes = list(mus)
                     shapes[p], shapes[q] = mu_p, mu_q
-                    key = (out_beta, tuple(shapes))
-                    total[key] = total.get(key, 0) + sign * c_p * c_q
-    return Vec(total)
+                    yield (out_beta, tuple(shapes)), sign * c_p * c_q
+
+    return v.apply(on_basis)
 
 
 # ----------------------------------------------------- generator actions
@@ -253,8 +243,8 @@ def _fk_root(p: int, q: int, m: int, f_type: bool, v: Vec, l: int) -> Vec:
     applied once."""
     alpha = root(p, q, l)
     dress = epsilon(alpha, alpha, l) if f_type else 1
-    signed = {label: dress * epsilon(alpha, label[0], l) * c for label, c in v.terms.items()}
-    return vertex_coeff(alpha, m, Vec(signed), l)
+    signed = v.apply(lambda label: ((label, dress * epsilon(alpha, label[0], l)),))
+    return vertex_coeff(alpha, m, signed, l)
 
 
 def fk_action(g: str, v: Vec, l: int) -> Vec:
@@ -271,14 +261,15 @@ def fk_action(g: str, v: Vec, l: int) -> Vec:
     if kind == "f":
         return _fk_root(q, p, s, not s, v, l)
     if kind == "h":
-        return Vec({label: (s + label[0][p] - label[0][q]) * c for label, c in v.terms.items()})
+        return v.apply(lambda label: ((label, s + label[0][p] - label[0][q]),))
     return heis_tensor(mode, p, v) - heis_tensor(mode, q, v)
 
 
 # ------------------------------------------------------- explicit action
 
-def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool) -> Vec:
-    """e_i (step -1) or f_i (step +1) on b_lam, from one boundary scan.
+def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool):
+    """The (shape, coeff) pairs of e_i (step -1) or f_i (step +1) on b_lam,
+    from one boundary scan.
 
     Each residue-i node of the given step is removed or added. The
     prefactor is (-1)^(counts[i-1] + counts[i]) for f and its negative for
@@ -290,14 +281,12 @@ def _explicit_on_shape(step: int, i: int, lam, l: int, right: bool) -> Vec:
     odd, boundary = residue_boundary(lam, i, l)
     total = sum(s for _, s, _ in boundary) if right else 0
     prefactor = -step if odd else step
-    out = {}
     for node, s, left in boundary:
         if s != step:
             continue
         scan = total - left - step if right else left
         shape = add_node(lam, node) if step > 0 else remove_node(lam, node)
-        out[shape] = -prefactor if scan % 2 else prefactor
-    return Vec(out)
+        yield shape, -prefactor if scan % 2 else prefactor
 
 
 def explicit_action(g: str, v: Vec, l: int) -> Vec:
@@ -308,14 +297,11 @@ def explicit_action(g: str, v: Vec, l: int) -> Vec:
     one, each hopping one bead by m*l along its runner."""
     kind, p, q, mode = parse_generator(g, l)
     if kind == "h":
-        return Vec(
-            {lam: sum(s for _, s, _ in residue_boundary(lam, q, l)[1]) * c
-             for lam, c in v.terms.items()}
-        )
+        return v.apply(lambda lam: ((lam, sum(s for _, s, _ in residue_boundary(lam, q, l)[1])),))
     if kind == "p":
         return v.apply(
-            lambda lam: Vec(fock._hop_on_shape(mode, l, p, lam))
-            - Vec(fock._hop_on_shape(mode, l, q, lam))
+            lambda lam: fock._hop_on_shape(mode, l, p, lam)
+            + tuple((mu, -c) for mu, c in fock._hop_on_shape(mode, l, q, lam))
         )
     if ETA_SCAN_SIDE not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
@@ -344,20 +330,20 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
     for every generator of default_generators.
 
     Each shape, source or output, is transported once per call (a memo of
-    the call; see fock's memo policy). Shapes are the outer loop, so
-    failures come out smallest shape first, in generator order per shape.
+    the call holding the pairs of its image; see fock's memo policy). Shapes are the outer loop, so failures come out smallest shape
+    first, in generator order per shape.
     """
     l = check_l(l)
     failures = []
     generators = default_generators(l)
 
     @cache
-    def transported(lam) -> Vec:
-        return transport(Vec.basis(lam), l)
+    def transported(lam) -> tuple:
+        return tuple(transport(Vec.basis(lam), l).terms.items())
 
     for lam in partitions_up_to(max_degree):
         v = Vec.basis(lam)
-        source = transported(lam)
+        source = Vec(transported(lam))
         for g in generators:
             lhs = explicit_action(g, v, l).apply(transported)
             rhs = fk_action(g, source, l)

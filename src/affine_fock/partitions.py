@@ -71,8 +71,8 @@ class Vec:
     zero coefficient. `terms` is never mutated after construction.
     Coefficients are stored as given: ints on every route but the geometric one, which
     divides and so yields Fractions. Sums, negatives and scalar multiples
-    keep the subclass (LaurentPoly stays LaurentPoly); `apply` returns a
-    plain Vec.
+    keep the subclass (LaurentPoly stays LaurentPoly). `apply` is the one
+    lift of a per-label map to vectors, and returns a plain Vec.
     """
 
     __slots__ = ("terms",)
@@ -123,10 +123,12 @@ class Vec:
         return hash(frozenset(self.terms.items()))
 
     def apply(self, fn) -> "Vec":
-        """Extend fn: label -> Vec linearly."""
+        """Extend fn linearly: fn(label) gives the label's image as
+        (label, coeff) pairs, and coefficients of a repeated label add up.
+        Builds exactly one Vec."""
         out: dict = {}
         for label, coeff in self.terms.items():
-            for out_label, out_coeff in fn(label).terms.items():
+            for out_label, out_coeff in fn(label):
                 out[out_label] = out.get(out_label, 0) + coeff * out_coeff
         return Vec(out)
 

@@ -200,6 +200,23 @@ def test_act_and_matrix_refuse_a_broken_scan_side_alike(capsys, monkeypatch):
         assert run_main(capsys, *argv) == (2, "", message)
 
 
+def test_act_parses_the_generator_once(capsys, monkeypatch):
+    """The vertex side reads the name only in fk_action; the command used
+    to parse it a second time up front."""
+    calls = []
+    plain = fk.parse_generator
+
+    def counted(g, l):
+        calls.append(g)
+        return plain(g, l)
+
+    monkeypatch.setattr(fk, "parse_generator", counted)
+    monkeypatch.setattr(cli, "parse_generator", counted)
+    argv = ("act", "--side", "frenkel-kac", "--g", "p_1(2)", "--lambda", "[2,1]", "--l", "3")
+    assert run_main(capsys, *argv)[0] == 0
+    assert calls == ["p_1(2)"]
+
+
 def test_negative_degree_exits_2(capsys):
     for argv in (
         ("verify", "--suite", "all", "--degree", "-1"),

@@ -144,8 +144,9 @@ def test_strip_kernel_matches_exponential_expansion():
             for sign in (1, -1):
                 for inverse in (False, True):
                     got = fock._gamma_on_shape(sign, d, inverse, lam)
-                    assert got == exponential_kernel(sign, d, inverse, lam)
-                    assert all(type(c) is int for c in got.values())
+                    assert len(dict(got)) == len(got)
+                    assert dict(got) == exponential_kernel(sign, d, inverse, lam)
+                    assert all(type(c) is int for _, c in got)
 
 
 @given(partitions(max_size=4), st.integers(min_value=1, max_value=3))
@@ -173,8 +174,8 @@ def field_oracle(a, target, lam):
     a > 0."""
     out = {}
     for b in range(max(0, -target), sum(lam) + 1):
-        for mid, c1 in fock._gamma_on_shape(-1, b, a < 0, lam).items():
-            for mu, c2 in fock._gamma_on_shape(1, target + b, a > 0, mid).items():
+        for mid, c1 in fock._gamma_on_shape(-1, b, a < 0, lam):
+            for mu, c2 in fock._gamma_on_shape(1, target + b, a > 0, mid):
                 out[mu] = out.get(mu, 0) + c1 * c2
     return {mu: c for mu, c in out.items() if c}
 
@@ -192,6 +193,33 @@ def test_field_kernel_matches_its_sum_over_b():
                 assert all(c for _, c in got)
                 assert len(dict(got)) == len(got)
                 assert dict(got) == field_oracle(a, target, lam)
+
+
+def test_shape_kernels_return_tuples_of_pairs():
+    """Each memoised kernel returns an immutable tuple of (shape, int)
+    pairs, with no label twice and no zero coefficient."""
+    results = [fock._hop_on_shape(n, l, 0, lam)
+               for lam in partitions_up_to(5) for n in (2, -1) for l in (1, 3)]
+    results += [fock._gamma_on_shape(sign, d, inverse, lam)
+                for lam in partitions_up_to(5) for sign in (1, -1)
+                for d in range(4) for inverse in (False, True)]
+    results += [fock._field_on_shape(a, target, lam)
+                for lam in partitions_up_to(5) for a in (1, -1) for target in range(-3, 4)]
+    assert any(results)
+    for got in results:
+        assert type(got) is tuple
+        assert all(type(mu) is tuple and type(c) is int and c for mu, c in got)
+        assert len(dict(got)) == len(got)
+
+
+def test_a_held_hop_result_cannot_change_later_answers():
+    """A caller holding the cached hop cannot clear it: the memo's answer,
+    and so heis(-1) on (1,), stays (1,1) + (2,)."""
+    held = fock._hop_on_shape(-1, 1, 0, (1,))
+    with pytest.raises(AttributeError):
+        held.clear()
+    want = Vec({(0, (1, 1)): 1, (0, (2,)): 1})
+    assert fock.heis(-1, Vec.basis((0, (1,)))) == want
 
 
 def test_boson_fermion_suite_small():

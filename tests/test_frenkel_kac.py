@@ -170,7 +170,7 @@ def twisted_gamma(sign: int, d: int, inverse: bool, lam) -> dict:
     conjugated by shape transposition, built here independently of
     fock's field kernel."""
     flipped = fock._gamma_on_shape(sign, d, inverse, pt.transpose(lam))
-    return {pt.transpose(mu): coeff for mu, coeff in flipped.items()}
+    return {pt.transpose(mu): coeff for mu, coeff in flipped}
 
 
 def test_transposition_flips_inverse_and_twists_by_degree():
@@ -183,7 +183,7 @@ def test_transposition_flips_inverse_and_twists_by_degree():
             for sign in (1, -1):
                 for inverse in (False, True):
                     plain = fock._gamma_on_shape(sign, d, not inverse, lam)
-                    want = {mu: twist * coeff for mu, coeff in plain.items()}
+                    want = {mu: twist * coeff for mu, coeff in plain}
                     assert twisted_gamma(sign, d, inverse, lam) == want
                     cases += 1
     assert cases == 2716
@@ -273,7 +273,7 @@ def alpha_mode(alpha, n, shapes):
     """alpha(n) = sum_k alpha_k times the twisted strand boson on shape k."""
     out = {}
     for k, weight in enumerate(alpha):
-        for mu, coeff in fock._hop_on_shape(n, 1, 0, shapes[k]).items():
+        for mu, coeff in fock._hop_on_shape(n, 1, 0, shapes[k]):
             new = shapes[:k] + (mu,) + shapes[k + 1 :]
             out[new] = out.get(new, 0) + weight * coeff
     return out
@@ -524,7 +524,7 @@ def vec_level_relations(l, max_degree):
 
     def apply_word(word, v):
         for g in reversed(word):
-            v = v.apply(lambda lam: image(g, lam))
+            v = v.apply(lambda lam: image(g, lam).terms.items())
             if not v:
                 break
         return v

@@ -371,18 +371,36 @@ def test_vec_operations_drop_zero_coefficients():
     assert (u - u).terms == {} and not u - u
     assert (u - Vec({"b": 2})).terms == {"a": 1}
     # two labels whose images cancel, and a one-term vector whose image is 0
-    assert u.apply(lambda x: Vec({"z": 2 if x == "a" else -1})).terms == {}
-    assert Vec.basis("a").apply(lambda x: Vec.zero()).terms == {}
-    assert (3 * Vec.basis("a")).apply(lambda x: Vec({"y": 1, "z": -1})).terms == {"y": 3, "z": -3}
+    assert u.apply(lambda x: [("z", 2 if x == "a" else -1)]).terms == {}
+    assert Vec.basis("a").apply(lambda x: ()).terms == {}
+    assert (3 * Vec.basis("a")).apply(lambda x: [("y", 1), ("z", -1)]).terms == {"y": 3, "z": -3}
+
+
+def test_apply_adds_up_a_label_repeated_in_one_image(monkeypatch):
+    """An image may name a label more than once; its coefficients add up,
+    and apply builds exactly one Vec."""
+    u = Vec({"a": 2, "b": 1})
+    built = []
+    init = Vec.__init__
+
+    def counted(self, terms=None):
+        built.append(terms)
+        init(self, terms)
+
+    monkeypatch.setattr(Vec, "__init__", counted)
+    image = u.apply(lambda x: [("y", 1), ("z", 1), ("y", 2)] if x == "a" else [("y", -6)])
+    assert len(built) == 1
+    assert image.terms == {"z": 2}
+    assert Vec.basis("a").apply(lambda x: [("y", 1), ("y", -1)]).terms == {}
 
 
 def test_one_term_apply_is_a_plain_vec():
     poly = LaurentPoly({1: 2, -1: 1})
-    one = Vec.basis("a").apply(lambda x: poly)
+    one = Vec.basis("a").apply(lambda x: poly.terms.items())
     assert type(one) is Vec and one.terms == poly.terms
-    scaled = (2 * Vec.basis("a")).apply(lambda x: poly)
+    scaled = (2 * Vec.basis("a")).apply(lambda x: poly.terms.items())
     assert type(scaled) is Vec and scaled.terms == {1: 4, -1: 2}
-    assert type(Vec({"a": 1, "b": 1}).apply(lambda x: poly)) is Vec
+    assert type(Vec({"a": 1, "b": 1}).apply(lambda x: poly.terms.items())) is Vec
     assert poly.terms == {1: 2, -1: 1}
 
 

@@ -214,6 +214,15 @@ def test_boson_fermion_builds_one_vec_per_route(monkeypatch):
     assert calls["calls"] <= 31385
 
 
+def test_intertwining_builds_one_vec_per_lift(monkeypatch):
+    """Every per-label lift is one Vec.apply over (label, coeff) pairs, and
+    the transport memo holds pairs: 14,895 Vecs at l = 3, d = 10. Lifting
+    through a one-label Vec per shape made 24,775."""
+    calls = _count_calls(monkeypatch, Vec, "__init__")
+    assert fk.verify_intertwining(3, 10)["status"] == "ok"
+    assert calls["calls"] <= 14895
+
+
 def test_intertwining_needs_few_kernel_entries():
     """A root's vertex operator is two rank-one fields on one shape each, so
     the l = 3, d = 10 suite fills 126 kernel entries; the tuple-of-shapes
