@@ -49,9 +49,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from . import maya
-from .maya import HALF
-from .partitions import Vec, enumerate_partitions
+from .partitions import HALF, Vec, bead, enumerate_partitions
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
 # position. Flipping it desynchronizes the direct fermions from the kernel
@@ -125,12 +123,12 @@ def _fermion(a: int, b: int, v: Vec) -> Vec:
 
 def psi(j, v: Vec) -> Vec:
     """Delete the particle at position j; charge drops by one."""
-    return _fermion(1, maya.bead(j), v)
+    return _fermion(1, bead(j), v)
 
 
 def psi_star(j, v: Vec) -> Vec:
     """Insert a particle at position j; charge rises by one."""
-    return _fermion(-1, maya.bead(j), v)
+    return _fermion(-1, bead(j), v)
 
 
 @cache
@@ -255,10 +253,10 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     z-exponent +d), sign=-1 selects Gminus (heis(+m), z-exponent -d).
     inverse=True applies the inverse kernel, which negates every generator.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    if d < 0:
-        raise ValueError("coefficient degree must be nonnegative")
+    if type(sign) is not int or sign not in (1, -1):
+        raise ValueError(f"sign must be the int +1 or -1: {sign!r}")
+    if type(d) is not int or d < 0:
+        raise ValueError(f"coefficient degree must be a nonnegative int: {d!r}")
 
     def on_basis(label):
         c, lam = label
@@ -289,7 +287,7 @@ def fermion_field_coeff(kind: str, j, v: Vec) -> Vec:
     the z^(-j-1/2) coefficient of Psi_star(z): the field kernel with
     a = +1 or -1 after the charge power of z and the charge shift.
     """
-    h = maya.bead(j)  # j = h + 1/2
+    h = bead(j)  # j = h + 1/2
     if kind not in ("psi", "psi_star"):
         raise ValueError(f"kind must be 'psi' or 'psi_star', got {kind!r}")
     a = 1 if kind == "psi" else -1

@@ -33,15 +33,16 @@ the field of Psi = X(+1, z) on strand p and that of Psi_star = X(-1, z)
 on strand q. On [beta] x b the z^m coefficient is therefore (-1)^target
 times the sum over t of the strand-p field's z^t coefficient times the
 strand-q field's z^(target - t) one, target = m - 1 - (alpha,beta), all
-in integers. A two-cocycle sign eps(., .) on the lattice
-makes the relations close: e-type generators are dressed by eps(alpha,
-beta) on [beta], f-type by eps(alpha, alpha) eps(alpha, beta).
+in integers. A two-cocycle sign eps(., .) on the lattice makes the
+relations close: a root mode is dressed by eps(alpha, beta) on [beta],
+times eps(alpha, alpha) when alpha is a negative root of sl_l.
 
 Every generator of residue i is read off one runner pair, p = (i - 1) mod l
 and q = i, which at i = 0 wraps from strand l - 1 to strand 0. Each route
-has one entry, explicit_action and fk_action, and both take p and q from
-one parse_generator; on the explicit route p_i(m) hops beads on the same
-two abacus runners.
+has one entry, explicit_action and fk_action; both take p and q from one
+parse_generator and lift one per-label map to (label, coeff) pairs with
+one Vec.apply. vertex_coeff and heis_tensor lift the vertex route's
+root-mode and strand-boson maps alone.
 
 verify_intertwining checks that the transport intertwines the two routes;
 verify_relations checks the Chevalley-Serre relations degreewise.
@@ -83,10 +84,6 @@ def root(p: int, q: int, l: int) -> tuple[int, ...]:
     if type(p) is not int or type(q) is not int or p == q or not (0 <= p < l and 0 <= q < l):
         raise ValueError(f"a root needs two distinct strands in 0..{l - 1}: {p!r}, {q!r}")
     return tuple((k == p) - (k == q) for k in range(l))
-
-
-def pairing(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def epsilon(alpha, beta, l: int) -> int:
@@ -154,58 +151,54 @@ def transport_inverse(v: Vec, l: int) -> Vec:
 
 # ------------------------------------------------- strand Heisenberg part
 
+def _heis_on_label(n: int, k_index: int, label):
+    """The pairs of strand boson mode n on quotient component k_index of
+    one label: the bead hop by n with the holes-between sign, the plain
+    mode times (-1)^(|n|-1), which is the plain mode conjugated by shape
+    transposition."""
+    beta, mus = label
+    check_residue(k_index, len(mus))
+    head, tail = mus[:k_index], mus[k_index + 1 :]
+    hops = fock._hop_on_shape(n, 1, 0, mus[k_index])
+    return tuple(((beta, head + (mu,) + tail), s) for mu, s in hops)
+
+
 def heis_tensor(n: int, k_index: int, v: Vec) -> Vec:
-    """Strand boson mode n acting on quotient component k_index.
-
-    It is the bead hop by n with the holes-between sign: the plain mode
-    times (-1)^(|n|-1), which is the plain mode conjugated by shape
-    transposition. k_index is an int strand in 0..l-1, checked per label.
-    """
+    """Strand boson mode n acting on quotient component k_index, an int
+    strand in 0..l-1 checked per label."""
     n = fock.check_mode(n)
-
-    def on_basis(label):
-        beta, mus = label
-        check_residue(k_index, len(mus))
-        head, tail = mus[:k_index], mus[k_index + 1 :]
-        hops = fock._hop_on_shape(n, 1, 0, mus[k_index])
-        return (((beta, head + (mu,) + tail), s) for mu, s in hops)
-
-    return v.apply(on_basis)
+    return v.apply(lambda label: _heis_on_label(n, k_index, label))
 
 
 # --------------------------------------------------------- vertex operator
 
+def _vertex_on_label(p: int, q: int, m: int, label):
+    """The z^m pairs of X(e_p - e_q, z) on one label [beta] x b, applied
+    right to left: Z0, then the exponentials, which are fock's rank-one
+    field with a = +1 on quotient shape p times the one with a = -1 on
+    shape q, times (-1)^target, the strand boson's transposition twist."""
+    beta, mus = label
+    target = m - 1 - beta[p] + beta[q]
+    out_beta = tuple(b + (k == p) - (k == q) for k, b in enumerate(beta))
+    sign = -1 if target % 2 else 1
+    for t in range(-sum(mus[p]), target + sum(mus[q]) + 1):
+        for mu_p, c_p in fock._field_on_shape(1, t, mus[p]):
+            for mu_q, c_q in fock._field_on_shape(-1, target - t, mus[q]):
+                shapes = list(mus)
+                shapes[p], shapes[q] = mu_p, mu_q
+                yield (out_beta, tuple(shapes)), sign * c_p * c_q
+
+
 def vertex_coeff(alpha, m: int, v: Vec, l: int) -> Vec:
     """Coefficient of z^m in X(alpha, z) applied to v, for a root
-    alpha = e_p - e_q.
-
-    Applied right to left: the lattice part Z0 (monomial and translation),
-    then the annihilation exponential, then the creation exponential. The
-    lowest nonzero mode on [beta] x b is 1 + (alpha,beta); the exponentials
-    are fock's rank-one field with a = +1 on quotient shape p times the one
-    with a = -1 on shape q, times (-1)^target, the strand boson's
-    transposition twist. The mode m is an int (a float or bool is refused).
-    """
+    alpha = e_p - e_q; the mode m is an int (a float or bool is refused)."""
     if type(m) is not int:
         raise ValueError(f"the vertex mode must be an int: {m!r}")
     alpha = core_quotient.check_core_vector(alpha, l)
     if sorted(alpha) != [-1] + [0] * (l - 2) + [1]:
         raise ValueError(f"not a root: {alpha}")
     p, q = alpha.index(1), alpha.index(-1)
-
-    def on_basis(label):
-        beta, mus = label
-        target = m - 1 - pairing(alpha, beta)
-        out_beta = tuple(b + a for b, a in zip(beta, alpha))
-        sign = -1 if target % 2 else 1
-        for t in range(-sum(mus[p]), target + sum(mus[q]) + 1):
-            for mu_p, c_p in fock._field_on_shape(1, t, mus[p]):
-                for mu_q, c_q in fock._field_on_shape(-1, target - t, mus[q]):
-                    shapes = list(mus)
-                    shapes[p], shapes[q] = mu_p, mu_q
-                    yield (out_beta, tuple(shapes)), sign * c_p * c_q
-
-    return v.apply(on_basis)
+    return v.apply(lambda label: _vertex_on_label(p, q, m, label))
 
 
 # ----------------------------------------------------- generator actions
@@ -236,33 +229,31 @@ def parse_generator(g: str, l: int) -> tuple[str, int, int, int | None]:
     return kind, (q - 1) % l, q, mode
 
 
-def _fk_root(p: int, q: int, m: int, f_type: bool, v: Vec, l: int) -> Vec:
-    """The dressed root mode eps(alpha, alpha)^[f_type] eps(alpha, beta)
-    X_m(alpha), alpha = e_p - e_q, on each [beta] x b of v. The dressing is
-    diagonal and the mode linear, so v is dressed first and the mode
-    applied once."""
-    alpha = root(p, q, l)
-    dress = epsilon(alpha, alpha, l) if f_type else 1
-    signed = v.apply(lambda label: ((label, dress * epsilon(alpha, label[0], l)),))
-    return vertex_coeff(alpha, m, signed, l)
-
-
 def fk_action(g: str, v: Vec, l: int) -> Vec:
     """Generator g of residue i on the lattice Fock space, read off the
     runner pair p = (i - 1) mod l, q = i and the loop shift s = delta_{i0}:
-    e_i is the root e_p - e_q at degree -s, f_i the root e_q - e_p at
-    degree s (of the two, the negative root of sl_l takes the f dressing),
-    h_i is s + beta_p - beta_q, and p_i(m) the strand-p boson minus the
-    strand-q one."""
+    e_i is the root e_p - e_q at degree -s and f_i the root e_q - e_p at
+    degree s, dressed on [beta] by eps(alpha, beta), times eps(alpha, alpha)
+    if alpha is a negative root of sl_l; h_i is s + beta_p - beta_q, and
+    p_i(m) the strand-p boson minus the strand-q one."""
     kind, p, q, mode = parse_generator(g, l)
     s = int(q == 0)
-    if kind == "e":
-        return _fk_root(p, q, -s, bool(s), v, l)
-    if kind == "f":
-        return _fk_root(q, p, s, not s, v, l)
     if kind == "h":
         return v.apply(lambda label: ((label, s + label[0][p] - label[0][q]),))
-    return heis_tensor(mode, p, v) - heis_tensor(mode, q, v)
+    if kind == "p":
+        return v.apply(
+            lambda label: _heis_on_label(mode, p, label)
+            + tuple((out, -c) for out, c in _heis_on_label(mode, q, label))
+        )
+    p, q, m = (p, q, -s) if kind == "e" else (q, p, s)
+    alpha = root(p, q, l)
+    dress = epsilon(alpha, alpha, l) if p > q else 1  # a negative root of sl_l
+
+    def dressed(label):
+        sign = dress * epsilon(alpha, label[0], l)
+        return ((out, sign * c) for out, c in _vertex_on_label(p, q, m, label))
+
+    return v.apply(dressed)
 
 
 # ------------------------------------------------------- explicit action

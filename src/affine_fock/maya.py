@@ -9,7 +9,9 @@ below zero and the holes strictly above zero.
 The charge-zero diagram of a partition lam has particles at j - 1/2 - lam_j
 for j = 1, 2, ...; conversely, listing the particle positions in increasing
 order h_1 < h_2 < ... recovers lam_j = j - 1/2 - h_j. The integer
-routines of fock take the bead h - 1/2 (bead) in place of the position h.
+routines of fock take the bead h - 1/2 (bead) in place of the position h;
+bead, its half-integer check and HALF live with the other argument checks
+in partitions, so that fock does not import this module.
 """
 
 from __future__ import annotations
@@ -17,22 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .partitions import as_partition
-
-HALF = Fraction(1, 2)
-
-
-def _check_half_integer(h) -> Fraction:
-    if not isinstance(h, Fraction):
-        h = Fraction(h)
-    if h.denominator != 2:
-        raise ValueError(f"position must be a half-integer: {h}")
-    return h
-
-
-def bead(h) -> int:
-    """The integer bead h - 1/2 of the half-integer position h."""
-    return _check_half_integer(h).numerator // 2
+from .partitions import HALF, _check_half_integer, as_partition, bead
 
 
 class Maya:

@@ -15,7 +15,8 @@ on integer exponents with the polynomial product added.
 The checks of partitions, partition sizes and size bounds, l, residues,
 strand and modulus counts, core vectors, Heisenberg modes and charges keep
 one rule, the CLI's: only `type(x) is int` passes, so a float is refused,
-not truncated, and a bool is not an int.
+not truncated, and a bool is not an int. A half-integer Maya position
+(bead) is checked here too, so the integer Fock routines need no maya.
 """
 
 from __future__ import annotations
@@ -238,6 +239,23 @@ def check_residue(i: int, l: int) -> int:
     if not 0 <= i <= l - 1:
         raise ValueError(f"residue must be 0..{l - 1}: {i}")
     return i
+
+
+HALF = Fraction(1, 2)
+
+
+def _check_half_integer(h) -> Fraction:
+    """A half-integer position of a Maya diagram, as a Fraction."""
+    if not isinstance(h, Fraction):
+        h = Fraction(h)
+    if h.denominator != 2:
+        raise ValueError(f"position must be a half-integer: {h}")
+    return h
+
+
+def bead(h) -> int:
+    """The integer bead h - 1/2 of the half-integer position h."""
+    return _check_half_integer(h).numerator // 2
 
 
 def residue_counts(lam: tuple[int, ...], l: int) -> tuple[int, ...]:

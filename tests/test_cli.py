@@ -363,6 +363,14 @@ def test_verify_mismatch_exits_1():
     assert json.loads(proc.stdout)["status"] == "mismatch"
 
 
+def test_importing_the_cli_leaves_maya_out():
+    """The integer Fock routines take bead and HALF from partitions, so the
+    library's import path does not load the Fraction-based maya module."""
+    script = "import sys, affine_fock.cli\nprint('affine_fock.maya' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
 def test_console_script_available():
     exe = shutil.which("affine-fock")
     assert exe is not None

@@ -44,11 +44,14 @@ def test_as_partition_validates():
         # a float degree bound used to raise a TypeError from inside range()
         (lambda: fock.verify_boson_fermion(1.5, 0), 1.5),
         (lambda: fock.verify_boson_fermion(2, 1.0), 1.0),
+        # 1.0 ran as the sign 1; a float degree raised a TypeError from range()
+        (lambda: fock.gamma_coeff(1.0, 2, fock.vacuum()), 1.0),
+        (lambda: fock.gamma_coeff(1, 2.0, fock.vacuum()), 2.0),
     ],
     ids=["as_partition", "core_and_quotient", "points_vector", "vacuum", "heis", "heis_tensor",
          "strand_count", "strand_positions", "residue_counts", "residue_boundary",
          "enumerate_partitions", "partitions_up_to", "boson_fermion_degree",
-         "boson_fermion_charge"],
+         "boson_fermion_charge", "gamma_coeff_sign", "gamma_coeff_degree"],
 )
 def test_non_int_is_refused_not_truncated(call, value):
     """Each entry refuses a float with a ValueError that names it, instead
@@ -85,10 +88,14 @@ def test_non_int_residue_is_refused():
         # True used to run as degree 1, and is_l_core((2, 1), True) as l = 1
         lambda: fock.verify_boson_fermion(True, 0),
         lambda: core_quotient.is_l_core((2, 1), True),
+        # True used to run as the sign 1 and as degree 1 in gamma_coeff
+        lambda: fock.gamma_coeff(True, 1, fock.vacuum()),
+        lambda: fock.gamma_coeff(1, True, fock.vacuum()),
     ],
     ids=["as_partition", "check_l", "check_residue", "check_core_vector", "check_mode",
          "strand_count", "strand_positions", "residue_counts", "residue_boundary",
-         "enumerate_partitions", "partitions_up_to", "boson_fermion", "is_l_core"],
+         "enumerate_partitions", "partitions_up_to", "boson_fermion", "is_l_core",
+         "gamma_coeff_sign", "gamma_coeff_degree"],
 )
 def test_bool_is_not_an_int(call):
     """The library's int checks keep the CLI's rule, which refuses a JSON

@@ -112,6 +112,16 @@ MISMATCHES = [
         "boson-fermion", 2, 6, _fermion_sign_plus,
         "3a515b7b57b91f85a066064a82cda907a412f75f7f3c99fbabd61da82c4afd04",
     ),
+    # the cocycle dressing of e_i and f_i on the vertex route
+    (
+        "frenkel-kac", 3, 5, _cocycle_offsets_zero,
+        "babbaab752cbf98bf8afff0e27fe08e50b71b5795b8891ecd94b6e22797d58d8",
+    ),
+    # the vertex route's p image, which the negated explicit one misses
+    (
+        "frenkel-kac", 3, 6, _negated("p_1(2)"),
+        "1e9234cfc769ea72aa40c46396cd9b0b0f4d1f0d388fd961342f58233eeecee5",
+    ),
 ]
 
 
@@ -216,11 +226,23 @@ def test_boson_fermion_builds_one_vec_per_route(monkeypatch):
 
 def test_intertwining_builds_one_vec_per_lift(monkeypatch):
     """Every per-label lift is one Vec.apply over (label, coeff) pairs, and
-    the transport memo holds pairs: 14,895 Vecs at l = 3, d = 10. Lifting
-    through a one-label Vec per shape made 24,775."""
+    the transport memo holds pairs: 10,725 Vecs at l = 3, d = 10. Lifting
+    through a one-label Vec per shape made 24,775, and dressing e and f
+    and subtracting two strand bosons in their own Vecs 14,895."""
     calls = _count_calls(monkeypatch, Vec, "__init__")
     assert fk.verify_intertwining(3, 10)["status"] == "ok"
-    assert calls["calls"] <= 14895
+    assert calls["calls"] <= 10725
+
+
+@pytest.mark.parametrize("g", ["e_1", "e_0", "f_2", "f_0", "h_1", "p_1(2)", "p_0(-1)"])
+def test_each_vertex_route_call_builds_one_vec(monkeypatch, g):
+    """fk_action lifts each generator once: e_i and f_i dress the root
+    mode's pairs, and p_i(m) negates the strand-q pairs, inside one
+    Vec.apply. A separate dressing and heis_tensor difference built 2 or 3."""
+    v = fk.transport(Vec({(5, 3, 2, 2, 1): 1, (4, 4, 3): -2, (6, 2): 3}), 3)
+    calls = _count_calls(monkeypatch, Vec, "__init__")
+    assert fk.fk_action(g, v, 3)
+    assert calls["calls"] == 1
 
 
 def test_intertwining_needs_few_kernel_entries():
