@@ -7,7 +7,7 @@ the graded-lex basis slice). Output is JSON by default, deterministic byte
 for byte; --pretty switches to a short human form.
 
 Exit codes: 0 success, 1 suite mismatch, 2 malformed input, 3 constraint
-violation, 4 a --degree above MAX_DEGREE (40).
+violation, 4 a --degree above MAX_DEGREE (40) or an --l above MAX_L (1000).
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ from .partitions import (
 # suite work. A constant, not an option.
 MAX_DEGREE = 40
 
+# Largest --l accepted: verify --suite relations --degree 0 builds the l x l
+# Cartan matrix and peaks at 23 MB RSS at l = 1000, 47 MB at l = 2000, past
+# the degree-40 slice above. A constant, not an option.
+MAX_L = 1000
+
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str):
@@ -52,6 +57,8 @@ class _CliError(Exception):
 def _check_l(value: int) -> int:
     if value < 2:
         raise _CliError(2, f"--l must be at least 2, got {value}")
+    if value > MAX_L:
+        raise _CliError(4, f"--l {value} exceeds the limit {MAX_L}")
     return value
 
 

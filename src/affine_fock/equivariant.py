@@ -202,16 +202,16 @@ def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:
 def verify_fixed_points(l: int, max_degree: int) -> dict:
     """Both chamber characters across the bijection, for all small shapes."""
     l = check_l(l)
-    failures = []
-    for lam in partitions_up_to(max_degree):
+
+    def check(lam):
         c, q = core_quotient.core_and_quotient(lam, l)
         lhs = fixed_point_char(lam)
         rhs = infinity_chamber_char(c, q, l)
         if lhs != rhs:
-            failures.append(
-                fock.failure("chamber", shape_label_json(lam), lhs.to_json(), rhs.to_json())
-            )
-    return fock.report(failures, l=l, degree=max_degree)
+            yield "chamber", lhs.to_json(), rhs.to_json()
+
+    shapes = partitions_up_to(max_degree)
+    return fock.report(shapes, check, shape_label_json, l=l, degree=max_degree)
 
 
 def verify_geometric_match(l: int, max_degree: int) -> dict:
@@ -223,14 +223,17 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
     in the explicit raising action; and the two one-sided boundary scans
     must satisfy eta_left + eta_right = c_{i-1/2} + c_{i+1/2} + 1 +
     delta_{i,0} (mod 2) with the core-vector components wrapped cyclically.
+    The shapes are fock.report's outer loop; within one shape the checks
+    run by residue, then by removable node, the coefficient before the
+    parity.
     """
     l = check_l(l)
-    failures = []
     shapes = partitions_up_to(max_degree)
     # every mu = lam minus a node is itself in the slice
     norm = {lam: normalization(lam, l) for lam in shapes}
     e = [f"e_{i}" for i in range(l)]
-    for lam in shapes:
+
+    def check(lam):
         c, _ = core_quotient.core_and_quotient(lam, l)
         for i in range(l):
             image = explicit_action(e[i], Vec.basis(lam), l)
@@ -239,18 +242,10 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
                 want = image.coeff(mu)
                 got = geometric_e(i, lam, mu, l) * Fraction(norm[mu], norm[lam])
                 if got != want:
-                    failures.append(
-                        fock.failure(f"e_{i}", shape_label_json(lam), str(got), str(want))
-                    )
+                    yield f"e_{i}", str(got), str(want)
                 scans = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
                 wrapped = c[(i - 1) % l] + c[i] + 1 + (1 if i == 0 else 0)
                 if (scans - wrapped) % 2:
-                    failures.append(
-                        fock.failure(
-                            f"parity_{i}",
-                            shape_label_json(lam),
-                            str(scans % 2),
-                            str(wrapped % 2),
-                        )
-                    )
-    return fock.report(failures, l=l, degree=max_degree)
+                    yield f"parity_{i}", str(scans % 2), str(wrapped % 2)
+
+    return fock.report(shapes, check, shape_label_json, l=l, degree=max_degree)

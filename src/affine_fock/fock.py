@@ -251,12 +251,15 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
 
     sign=+1 selects Gplus (built from the raising generators heis(-m),
     z-exponent +d), sign=-1 selects Gminus (heis(+m), z-exponent -d).
-    inverse=True applies the inverse kernel, which negates every generator.
+    inverse=True applies the inverse kernel, which negates every generator;
+    anything but a bool is refused, not read by truthiness.
     """
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be the int +1 or -1: {sign!r}")
     if type(d) is not int or d < 0:
         raise ValueError(f"coefficient degree must be a nonnegative int: {d!r}")
+    if type(inverse) is not bool:
+        raise ValueError(f"inverse must be a bool: {inverse!r}")
 
     def on_basis(label):
         c, lam = label
@@ -314,8 +317,9 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     """Compare direct fermions with kernel-field coefficients mode by mode.
 
     Runs over all charges |c| <= max_charge, partitions of size <=
-    max_degree, and every mode whose image stays within max_degree. Returns
-    a report dict with a failures list.
+    max_degree, and every mode whose image stays within max_degree. The
+    labels, in graded order, are report's outer loop; within one label
+    the checks run mode by mode, psi before psi_star.
     """
     for bound in (max_degree, max_charge):
         if type(bound) is not int:
@@ -324,11 +328,10 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
         raise ValueError(
             f"degree and charge bounds must be nonnegative: {max_degree}, {max_charge}"
         )
-    failures = []
-    charges = range(-max_charge, max_charge + 1)
     reach = max_degree + max_charge + 2
     modes = [HALF + k for k in range(-reach, reach)]
-    for label in fock_labels(max_degree, charges):
+
+    def check(label):
         v = Vec.basis(label)
         c, lam = label
         size = sum(lam)
@@ -339,15 +342,10 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
                 direct = _fermion(a, k, v)  # k is the bead of j
                 kernel = fermion_field_coeff(kind, j, v)
                 if direct != kernel:
-                    failures.append(
-                        failure(
-                            f"{kind}({j})",
-                            fock_label_json(label),
-                            vec_json(direct),
-                            vec_json(kernel),
-                        )
-                    )
-    return report(failures, degree=max_degree, charge_bound=max_charge)
+                    yield f"{kind}({j})", vec_json(direct), vec_json(kernel)
+
+    labels = fock_labels(max_degree, range(-max_charge, max_charge + 1))
+    return report(labels, check, fock_label_json, degree=max_degree, charge_bound=max_charge)
 
 
 def fock_label_json(label) -> dict:
@@ -363,15 +361,18 @@ def vec_json(v: Vec, label_json=fock_label_json, sort_key=label_sort_key) -> lis
     ]
 
 
-def failure(generator: str, label_json: dict, lhs, rhs) -> dict:
-    """One entry of a suite's failures list: the generator or relation, the
-    JSON label it failed on, and the two sides in JSON form."""
-    return {"generator": generator, "lambda": label_json, "lhs": lhs, "rhs": rhs}
-
-
-def report(failures: list, **fields) -> dict:
-    """A suite report: status, the suite's own fields in the given order,
-    then the failures. The status is "ok" exactly when nothing failed."""
+def report(labels, check, label_json, /, **fields) -> dict:
+    """The one suite loop, labels outermost. check(label) yields (name,
+    lhs, rhs), both sides in JSON form, for each comparison that fails on
+    that label, so failures come out in label order and, within a label,
+    in the order check yields them. The report is the status ("ok"
+    exactly when nothing failed), the suite's fields in the given order,
+    then the failures."""
+    failures = [
+        {"generator": name, "lambda": label_json(label), "lhs": lhs, "rhs": rhs}
+        for label in labels
+        for name, lhs, rhs in check(label)
+    ]
     return {"status": "mismatch" if failures else "ok", **fields, "failures": failures}
 
 

@@ -321,28 +321,28 @@ def verify_intertwining(l: int, max_degree: int) -> dict:
     for every generator of default_generators.
 
     Each shape, source or output, is transported once per call (a memo of
-    the call holding the pairs of its image; see fock's memo policy). Shapes are the outer loop, so failures come out smallest shape
-    first, in generator order per shape.
+    the call holding the pairs of its image; see fock's memo policy). The
+    shapes are fock.report's outer loop, so failures come out smallest
+    shape first, in generator order per shape.
     """
     l = check_l(l)
-    failures = []
     generators = default_generators(l)
 
     @cache
     def transported(lam) -> tuple:
         return tuple(transport(Vec.basis(lam), l).terms.items())
 
-    for lam in partitions_up_to(max_degree):
+    def check(lam):
         v = Vec.basis(lam)
         source = Vec(transported(lam))
         for g in generators:
             lhs = explicit_action(g, v, l).apply(transported)
             rhs = fk_action(g, source, l)
             if lhs != rhs:
-                failures.append(
-                    fock.failure(g, shape_label_json(lam), fk_vec_json(lhs), fk_vec_json(rhs))
-                )
-    return fock.report(failures, l=l, degree=max_degree)
+                yield g, fk_vec_json(lhs), fk_vec_json(rhs)
+
+    shapes = partitions_up_to(max_degree)
+    return fock.report(shapes, check, shape_label_json, l=l, degree=max_degree)
 
 
 def verify_relations(l: int, max_degree: int) -> dict:
@@ -352,12 +352,11 @@ def verify_relations(l: int, max_degree: int) -> dict:
     memo of the call, so the next call sees a patched seam; see fock's
     memo policy). A word is composed on those images' term dicts,
     and each bracket or Serre sum is collected in one dict that
-    becomes a Vec only to be compared. Shapes are the outer loop, so
-    failures come out smallest shape first, in (i, j) order within one
-    shape.
+    becomes a Vec only to be compared. The shapes are fock.report's
+    outer loop, so failures come out smallest shape first, in (i, j)
+    order within one shape.
     """
     l = check_l(l)
-    failures = []
     cartan = cartan_matrix(l)
     e, f, h = ([f"{kind}_{i}" for i in range(l)] for kind in "efh")
 
@@ -387,12 +386,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
         add(out, -1, compose((y, x), lam))
         return Vec(out)
 
-    def record(name, lam, lhs, rhs):
-        failures.append(
-            fock.failure(name, shape_label_json(lam), shape_vec_json(lhs), shape_vec_json(rhs))
-        )
-
-    for lam in partitions_up_to(max_degree):
+    def check(lam):
         room = max_degree - sum(lam)
         for i in range(l):
             for j in range(l):
@@ -401,16 +395,16 @@ def verify_relations(l: int, max_degree: int) -> dict:
                 lhs = bracket(h[i], e[j], lam)
                 rhs = Vec({mu: a * c for mu, c in image(e[j], lam).items()})
                 if lhs != rhs:
-                    record(f"[h_{i},e_{j}]", lam, lhs, rhs)
+                    yield f"[h_{i},e_{j}]", shape_vec_json(lhs), shape_vec_json(rhs)
                 if room >= 1:
                     lhs = bracket(h[i], f[j], lam)
                     rhs = Vec({mu: -a * c for mu, c in image(f[j], lam).items()})
                     if lhs != rhs:
-                        record(f"[h_{i},f_{j}]", lam, lhs, rhs)
+                        yield f"[h_{i},f_{j}]", shape_vec_json(lhs), shape_vec_json(rhs)
                     lhs = bracket(e[i], f[j], lam)
                     rhs = Vec(image(h[i], lam) if i == j else None)
                     if lhs != rhs:
-                        record(f"[e_{i},f_{j}]", lam, lhs, rhs)
+                        yield f"[e_{i},f_{j}]", shape_vec_json(lhs), shape_vec_json(rhs)
                 if i != j:
                     # the f relation needs headroom for power + 1 nodes
                     power = 1 - a
@@ -423,6 +417,8 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             word = (x,) * (power - k) + (y,) + (x,) * k
                             add(out, sign * comb(power, k), compose(word, lam))
                         lhs = Vec(out)
-                        if lhs:
-                            record(f"serre {x},{y}", lam, lhs, Vec.zero())
-    return fock.report(failures, l=l, degree=max_degree)
+                        if lhs:  # the right side is zero, whose JSON is []
+                            yield f"serre {x},{y}", shape_vec_json(lhs), []
+
+    shapes = partitions_up_to(max_degree)
+    return fock.report(shapes, check, shape_label_json, l=l, degree=max_degree)

@@ -235,7 +235,8 @@ def test_argparse_error_exits_2():
 
 
 def test_overflow_exit_4(capsys):
-    """A --degree above the bound is refused before any enumeration."""
+    """A --degree or an --l above its bound is refused before any
+    enumeration, on every command that takes it."""
     for argv in (
         ("verify", "--suite", "relations", "--degree", "41"),
         ("matrix", "--g", "f_0", "--l", "3", "--degree", "41"),
@@ -245,6 +246,17 @@ def test_overflow_exit_4(capsys):
         assert err == "error: --degree 41 exceeds the limit 40\n"
     assert cli.MAX_DEGREE == 40
     assert cli._check_degree(40) == 40
+    for argv in (
+        ("verify", "--suite", "relations", "--l", "20000", "--degree", "0"),
+        ("matrix", "--g", "f_0", "--l", "1001", "--degree", "0"),
+        ("core-quotient", "--l", "1000000", "--lambda", "[1]"),
+        ("act", "--side", "frenkel-kac", "--g", "e_1", "--lambda", "[1]", "--l", "1001"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err == f"error: --l {argv[argv.index('--l') + 1]} exceeds the limit 1000\n"
+    assert cli.MAX_L == 1000
+    assert cli._check_l(1000) == 1000
 
 
 def test_matrix_json_frozen(capsys):

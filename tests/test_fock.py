@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import factorial
 
@@ -115,6 +116,16 @@ def test_gamma_frozen_coefficients():
         gamma_coeff(2, 1, vacuum())
     with pytest.raises(ValueError):
         gamma_coeff(1, -1, vacuum())
+
+
+@pytest.mark.parametrize("inverse", ["no", 0, 1, None])
+def test_gamma_coeff_refuses_a_non_bool_inverse(inverse):
+    """inverse used to be read by truthiness: "no" applied the inverse
+    kernel, and each distinct value filled its own strip-memo entry."""
+    fock._gamma_on_shape.cache_clear()
+    with pytest.raises(ValueError, match=re.escape(f"inverse must be a bool: {inverse!r}")):
+        gamma_coeff(1, 2, vacuum(), inverse=inverse)
+    assert fock._gamma_on_shape.cache_info().misses == 0
 
 
 def exponential_kernel(sign, d, inverse, lam):

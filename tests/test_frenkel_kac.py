@@ -532,8 +532,12 @@ def vec_level_relations(l, max_degree):
         return apply_word((x, y), v) - apply_word((y, x), v)
 
     def record(name, lam, lhs, rhs):
-        failures.append(fock.failure(
-            name, fk.shape_label_json(lam), fk.shape_vec_json(lhs), fk.shape_vec_json(rhs)))
+        failures.append({
+            "generator": name,
+            "lambda": fk.shape_label_json(lam),
+            "lhs": fk.shape_vec_json(lhs),
+            "rhs": fk.shape_vec_json(rhs),
+        })
 
     for lam in partitions_up_to(max_degree):
         v = Vec.basis(lam)
@@ -566,7 +570,8 @@ def vec_level_relations(l, max_degree):
                             lhs = lhs + sign * comb(power, k) * apply_word(word, v)
                         if lhs:
                             record(f"serre {x},{y}", lam, lhs, Vec.zero())
-    return fock.report(failures, l=l, degree=max_degree)
+    status = "mismatch" if failures else "ok"
+    return {"status": status, "l": l, "degree": max_degree, "failures": failures}
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

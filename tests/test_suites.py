@@ -77,6 +77,25 @@ def _negated(generator):
     return breaks
 
 
+def _e_0_added_to_e_1(monkeypatch):
+    """Break the explicit route by adding e_0's image to e_1's, which trips
+    the Serre relations as well as the brackets."""
+    plain = fk.explicit_action
+
+    def added(g, v, l):
+        out = plain(g, v, l)
+        return out + plain("e_0", v, l) if g == "e_1" else out
+
+    monkeypatch.setattr(fk, "explicit_action", added)
+
+
+def _eta_scan_left_only(monkeypatch):
+    """Scan left whichever side eta is asked for, which trips the geometric
+    suite's parity congruence."""
+    plain = eq.eta
+    monkeypatch.setattr(eq, "eta", lambda lam, i, x, l, side: plain(lam, i, x, l, "left"))
+
+
 # (suite, l, degree, the layer to break, sha256 of the mismatch report)
 MISMATCHES = [
     (
@@ -124,12 +143,26 @@ MISMATCHES = [
     ),
 ]
 
+# the second failure branch of two suites, by pin name: the Serre sums of
+# relations (6 failures here) and the parity congruence of geometric (8)
+BRANCH_MISMATCHES = {
+    "relations-serre": (
+        "relations", 3, 4, _e_0_added_to_e_1,
+        "a42c0b13fb7b63ab7373dc67eab60a7a666d7773fa25045ae908de5f459add3f",
+    ),
+    "geometric-parity": (
+        "geometric", 3, 4, _eta_scan_left_only,
+        "3916ebbfcf3ccdf04b3835d81292c359e9344faea45d627bb70ef3db93a54a3f",
+    ),
+}
+
 
 @pytest.mark.parametrize(
     "suite, l, degree, breaks, digest",
-    MISMATCHES,
+    MISMATCHES + list(BRANCH_MISMATCHES.values()),
     # a degree-4 pin is named by its suite alone, a pin at scale by its size
-    ids=[m[0] if m[2] == 4 else f"{m[0]}-l{m[1]}-d{m[2]}" for m in MISMATCHES],
+    ids=[m[0] if m[2] == 4 else f"{m[0]}-l{m[1]}-d{m[2]}" for m in MISMATCHES]
+    + list(BRANCH_MISMATCHES),
 )
 def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, digest):
     breaks(monkeypatch)
@@ -138,6 +171,33 @@ def test_mismatch_report_bytes(capsys, monkeypatch, suite, l, degree, breaks, di
     report = json.loads(out)
     assert code == 1 and report["status"] == "mismatch" and report["failures"]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_is_the_one_suite_loop():
+    """fock.report runs check on each label, labels outermost: failures
+    come out label by label, and within one label in the order check
+    yields them; the status is ok exactly when check yields nothing; the
+    suite's fields keep their order between status and failures."""
+    yields = {"c": [("v", [], [5])], "a": [("x", 1, 2), ("w", 3, 4)], "b": []}
+
+    def check(label):
+        yield from yields[label]
+
+    def label_json(label):
+        return {"name": label}
+
+    out = fock.report(["c", "a", "b"], check, label_json, z=1, a=2)
+    assert list(out) == ["status", "z", "a", "failures"]
+    assert out["status"] == "mismatch"
+    assert out["failures"] == [
+        {"generator": "v", "lambda": {"name": "c"}, "lhs": [], "rhs": [5]},
+        {"generator": "x", "lambda": {"name": "a"}, "lhs": 1, "rhs": 2},
+        {"generator": "w", "lambda": {"name": "a"}, "lhs": 3, "rhs": 4},
+    ]
+    assert all(list(f) == ["generator", "lambda", "lhs", "rhs"] for f in out["failures"])
+    assert fock.report(["b", "b", "b"], check, label_json, z=1, a=2) == {
+        "status": "ok", "z": 1, "a": 2, "failures": []
+    }
 
 
 @pytest.mark.parametrize(
