@@ -7,7 +7,8 @@ the graded-lex basis slice). Output is JSON by default, deterministic byte
 for byte; --pretty switches to a short human form.
 
 Exit codes: 0 success, 1 suite mismatch, 2 malformed input, 3 constraint
-violation, 4 a --degree above MAX_DEGREE (40) or an --l above MAX_L (1000).
+violation, 4 a --degree above MAX_DEGREE (40), an --l above MAX_L (1000) or
+a --g p_i(m) whose mode m exceeds MAX_DEGREE in size.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from . import core_quotient, equivariant, fock, frenkel_kac
 from .frenkel_kac import (
     explicit_action,
-    fk_action,
     parse_generator,
     shape_sort_key,
     shape_vec_json,
@@ -42,9 +42,9 @@ from .partitions import (
 # suite work. A constant, not an option.
 MAX_DEGREE = 40
 
-# Largest --l accepted: verify --suite relations --degree 0 builds the l x l
-# Cartan matrix and peaks at 23 MB RSS at l = 1000, 47 MB at l = 2000, past
-# the degree-40 slice above. A constant, not an option.
+# Largest --l accepted: at --degree 0 relations checks all l^2 pairs (i, j)
+# and frenkel-kac meets rim hooks of size 2l, so verify --suite all takes
+# 14 s and 85 MB peak RSS at l = 1000. A constant, not an option.
 MAX_L = 1000
 
 
@@ -68,6 +68,11 @@ def _check_degree(value: int) -> int:
     if value > MAX_DEGREE:
         raise _CliError(4, f"--degree {value} exceeds the limit {MAX_DEGREE}")
     return value
+
+
+def _check_mode(mode: int | None) -> None:
+    if mode is not None and abs(mode) > MAX_DEGREE:  # a mode of p_i(m) is a degree
+        raise _CliError(4, f"--g mode {mode} exceeds the limit {MAX_DEGREE}")
 
 
 def _load_json(text: str, what: str):
@@ -172,18 +177,17 @@ def cmd_act(args) -> int:
     l = _check_l(args.l)
     lam = _load_partition(args.lam)
     try:
+        kind, p, q, mode = parse_generator(args.g, l)  # the one parse of --g
+        _check_mode(mode)  # before the action
         if args.side == "explicit":
-            image = explicit_action(args.g, Vec.basis(lam), l)
+            image = Vec.basis(lam).apply(frenkel_kac._explicit_map(kind, p, q, mode, l))
         elif args.side == "frenkel-kac":
-            moved = fk_action(args.g, transport(Vec.basis(lam), l), l)
+            moved = transport(Vec.basis(lam), l).apply(frenkel_kac._fk_map(kind, p, q, mode, l))
             image = transport_inverse(moved, l)
+        elif kind != "e":
+            raise ValueError("--side geometric supports only e_i generators")
         else:
-            kind, _p, index, _mode = parse_generator(args.g, l)
-            if kind != "e":
-                raise ValueError(
-                    "--side geometric supports only e_i generators"
-                )
-            image = _geometric_image(index, lam, l)
+            image = _geometric_image(q, lam, l)
     except ValueError as exc:
         raise _CliError(2, str(exc)) from exc
     entries = shape_vec_json(image)
@@ -240,7 +244,7 @@ def cmd_matrix(args) -> int:
         return explicit_action(args.g, Vec.basis(lam), l)
 
     try:
-        parse_generator(args.g, l)  # before the slice is enumerated
+        _check_mode(parse_generator(args.g, l)[3])  # before the slice is enumerated
         labels = partitions_up_to(args.degree)
         rows, cols, entries = fock.operator_matrix(apply_fn, labels, shape_sort_key)
     except ValueError as exc:

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from . import core_quotient, fock
@@ -90,30 +91,19 @@ def epsilon(alpha, beta, l: int) -> int:
     """Bimultiplicative cocycle sign on the sum-zero lattice.
 
     Expanding both arguments in simple roots, alpha = sum n_i alpha_i with
-    n_i the partial sums of the coordinates; the sign multiplies the table
-    entries t[i][j] over all pairs with multiplicity.
+    n_i the partial sums of the coordinates; the sign is -1 to the sum of
+    n_alpha[i] * n_beta[i + o] over the table's offsets o, one pass each.
     """
     alpha = core_quotient.check_core_vector(alpha, l)
     beta = core_quotient.check_core_vector(beta, l)
-    n_alpha = [sum(alpha[:i]) for i in range(1, l)]
-    n_beta = [sum(beta[:i]) for i in range(1, l)]
-    exponent = 0
-    for i in range(1, l):
-        for j in range(1, l):
-            if (j - i) in EPSILON_NEG_OFFSETS:
-                exponent += n_alpha[i - 1] * n_beta[j - 1]
+    n_alpha = list(accumulate(alpha[:-1]))
+    n_beta = list(accumulate(beta[:-1]))
+    exponent = sum(
+        n_alpha[i] * n_beta[i + o]
+        for o in EPSILON_NEG_OFFSETS
+        for i in range(max(0, -o), min(l - 1, l - 1 - o))
+    )
     return -1 if exponent % 2 else 1
-
-
-def cartan_matrix(l: int) -> list[list[int]]:
-    """Affine Cartan matrix on the residues 0..l-1 (cyclic)."""
-    l = check_l(l)
-    a = [[0] * l for _ in range(l)]
-    for i in range(l):
-        a[i][i] = 2
-        a[i][(i + 1) % l] -= 1
-        a[i][(i - 1) % l] -= 1
-    return a
 
 
 # ------------------------------------------------------------- transport
@@ -236,14 +226,17 @@ def fk_action(g: str, v: Vec, l: int) -> Vec:
     degree s, dressed on [beta] by eps(alpha, beta), times eps(alpha, alpha)
     if alpha is a negative root of sl_l; h_i is s + beta_p - beta_q, and
     p_i(m) the strand-p boson minus the strand-q one."""
-    kind, p, q, mode = parse_generator(g, l)
+    return v.apply(_fk_map(*parse_generator(g, l), l))
+
+
+def _fk_map(kind: str, p: int, q: int, mode: int | None, l: int):
+    """The per-label map of fk_action, from one parse_generator result."""
     s = int(q == 0)
     if kind == "h":
-        return v.apply(lambda label: ((label, s + label[0][p] - label[0][q]),))
+        return lambda label: ((label, s + label[0][p] - label[0][q]),)
     if kind == "p":
-        return v.apply(
-            lambda label: _heis_on_label(mode, p, label)
-            + tuple((out, -c) for out, c in _heis_on_label(mode, q, label))
+        return lambda label: _heis_on_label(mode, p, label) + tuple(
+            (out, -c) for out, c in _heis_on_label(mode, q, label)
         )
     p, q, m = (p, q, -s) if kind == "e" else (q, p, s)
     alpha = root(p, q, l)
@@ -253,7 +246,7 @@ def fk_action(g: str, v: Vec, l: int) -> Vec:
         sign = dress * epsilon(alpha, label[0], l)
         return ((out, sign * c) for out, c in _vertex_on_label(p, q, m, label))
 
-    return v.apply(dressed)
+    return dressed
 
 
 # ------------------------------------------------------- explicit action
@@ -286,18 +279,21 @@ def explicit_action(g: str, v: Vec, l: int) -> Vec:
     with boundary-scan signs, h_i counts the addable minus the removable
     residue-i nodes, and p_i(m) is the runner-p mode minus the runner-q
     one, each hopping one bead by m*l along its runner."""
-    kind, p, q, mode = parse_generator(g, l)
+    return v.apply(_explicit_map(*parse_generator(g, l), l))
+
+
+def _explicit_map(kind: str, p: int, q: int, mode: int | None, l: int):
+    """The per-shape map of explicit_action, from one parse_generator result."""
     if kind == "h":
-        return v.apply(lambda lam: ((lam, sum(s for _, s, _ in residue_boundary(lam, q, l)[1])),))
+        return lambda lam: ((lam, sum(s for _, s, _ in residue_boundary(lam, q, l)[1])),)
     if kind == "p":
-        return v.apply(
-            lambda lam: fock._hop_on_shape(mode, l, p, lam)
-            + tuple((mu, -c) for mu, c in fock._hop_on_shape(mode, l, q, lam))
+        return lambda lam: fock._hop_on_shape(mode, l, p, lam) + tuple(
+            (mu, -c) for mu, c in fock._hop_on_shape(mode, l, q, lam)
         )
     if ETA_SCAN_SIDE not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {ETA_SCAN_SIDE!r}")
     step, right = (-1 if kind == "e" else 1), ETA_SCAN_SIDE == "right"
-    return v.apply(lambda lam: _explicit_on_shape(step, q, lam, l, right))
+    return lambda lam: _explicit_on_shape(step, q, lam, l, right)
 
 
 # ------------------------------------------------------------- suites
@@ -357,7 +353,6 @@ def verify_relations(l: int, max_degree: int) -> dict:
     order within one shape.
     """
     l = check_l(l)
-    cartan = cartan_matrix(l)
     e, f, h = ([f"{kind}_{i}" for i in range(l)] for kind in "efh")
 
     @cache
@@ -390,7 +385,7 @@ def verify_relations(l: int, max_degree: int) -> dict:
         room = max_degree - sum(lam)
         for i in range(l):
             for j in range(l):
-                a = cartan[i][j]
+                a = 2 * (i == j) - ((j - i) % l == 1) - ((i - j) % l == 1)  # A_ij
                 # [h_i, e_j] = A_ij e_j needs no headroom (e lowers degree)
                 lhs = bracket(h[i], e[j], lam)
                 rhs = Vec({mu: a * c for mu, c in image(e[j], lam).items()})

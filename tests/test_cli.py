@@ -235,8 +235,8 @@ def test_argparse_error_exits_2():
 
 
 def test_overflow_exit_4(capsys):
-    """A --degree or an --l above its bound is refused before any
-    enumeration, on every command that takes it."""
+    """A --degree, an --l or a p_i(m) mode above its bound is refused
+    before any enumeration or action, on every command that takes it."""
     for argv in (
         ("verify", "--suite", "relations", "--degree", "41"),
         ("matrix", "--g", "f_0", "--l", "3", "--degree", "41"),
@@ -257,6 +257,17 @@ def test_overflow_exit_4(capsys):
         assert err == f"error: --l {argv[argv.index('--l') + 1]} exceeds the limit 1000\n"
     assert cli.MAX_L == 1000
     assert cli._check_l(1000) == 1000
+    for m in (41, -41):
+        for argv in (
+            ("act", "--g", f"p_1({m})", "--lambda", "[1]", "--l", "3"),
+            ("act", "--side", "frenkel-kac", "--g", f"p_1({m})", "--lambda", "[1]", "--l", "3"),
+            ("matrix", "--g", f"p_1({m})", "--l", "3", "--degree", "0"),
+        ):
+            code, out, err = run_main(capsys, *argv)
+            assert code == 4 and out == ""
+            assert err == f"error: --g mode {m} exceeds the limit 40\n"
+    code, out, _ = run_main(capsys, "act", "--g", "p_1(-40)", "--lambda", "[1]", "--l", "3")
+    assert code == 0 and out
 
 
 def test_matrix_json_frozen(capsys):
