@@ -108,9 +108,10 @@ def _pretty_vec(entries: list) -> list[str]:
     ]
 
 
-def _emit(args, obj, pretty_lines: list[str]) -> None:
+def _emit(args, obj, pretty_lines) -> None:
+    # pretty_lines() is called only under --pretty, so JSON mode formats none
     if getattr(args, "pretty", False):
-        for line in pretty_lines:
+        for line in pretty_lines():
             print(line)
     else:
         print(json.dumps(obj))
@@ -140,7 +141,7 @@ def cmd_core_quotient(args) -> int:
             "quotient": [list(p) for p in parts],
             "lambda": list(lam),
         }
-        _emit(args, out, [f"lambda = {_plabel(lam)}"])
+        _emit(args, out, lambda: [f"lambda = {_plabel(lam)}"])
         return 0
     if args.lam is None:
         raise _CliError(2, "need --lambda (or --inverse with --c/--q)")
@@ -154,12 +155,11 @@ def cmd_core_quotient(args) -> int:
         "quotient": [list(p) for p in q],
         "round_trip_ok": round_trip,
     }
-    pretty = [
+    _emit(args, out, lambda: [
         f"c = {_plabel(c)}",
         f"q = {json.dumps([list(p) for p in q], separators=(',', ':'))}",
         f"round trip ok: {str(round_trip).lower()}",
-    ]
-    _emit(args, out, pretty)
+    ])
     return 0
 
 
@@ -198,7 +198,7 @@ def cmd_act(args) -> int:
         "side": args.side,
         "image": entries,
     }
-    _emit(args, out, _pretty_vec(entries))
+    _emit(args, out, lambda: _pretty_vec(entries))
     return 0
 
 
@@ -228,11 +228,10 @@ def cmd_verify(args) -> int:
         }
     else:
         out = {"suite": args.suite, **reports[args.suite]}
-    pretty = [
+    _emit(args, out, lambda: [
         f"suite {name}: {rep['status']} ({len(rep['failures'])} failures)"
         for name, rep in reports.items()
-    ]
-    _emit(args, out, pretty)
+    ])
     return 0 if ok else 1
 
 
@@ -267,11 +266,10 @@ def cmd_matrix(args) -> int:
             for (ri, ci), value in items
         ],
     }
-    pretty = [
+    _emit(args, out, lambda: [
         f"{_plabel(rows[ri])} <- {_plabel(cols[ci])}: {value}"
         for (ri, ci), value in items
-    ] or ["empty"]
-    _emit(args, out, pretty)
+    ] or ["empty"])
     return 0
 
 

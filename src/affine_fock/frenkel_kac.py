@@ -346,11 +346,11 @@ def verify_relations(l: int, max_degree: int) -> dict:
 
     Each generator's image of each shape is computed once per call (a
     memo of the call, so the next call sees a patched seam; see fock's
-    memo policy). A word is composed on those images' term dicts,
-    and each bracket or Serre sum is collected in one dict that
-    becomes a Vec only to be compared. The shapes are fock.report's
-    outer loop, so failures come out smallest shape first, in (i, j)
-    order within one shape.
+    memo policy) and only read. A word starts from its first-applied
+    generator's image and is composed on term dicts. A bracket's dict
+    becomes a Vec only to be compared, a Serre sum's only to be reported.
+    The shapes are fock.report's outer loop, so failures come out
+    smallest shape first, in (i, j) order within one shape.
     """
     l = check_l(l)
     e, f, h = ([f"{kind}_{i}" for i in range(l)] for kind in "efh")
@@ -360,10 +360,10 @@ def verify_relations(l: int, max_degree: int) -> dict:
         return explicit_action(g, Vec.basis(lam), l).terms
 
     def compose(word, lam) -> dict:
-        """The terms of the word applied to b_lam. Names apply right to
-        left, the composition order."""
-        terms = {lam: 1}
-        for g in reversed(word):
+        """The terms of the word applied to b_lam, in a new dict (every
+        word has two or more names). Names apply right to left."""
+        terms = image(word[-1], lam)
+        for g in reversed(word[:-1]):
             step: dict = {}
             for mu, c in terms.items():
                 if c:  # a term cancelled on the way has no image to fetch
@@ -411,9 +411,8 @@ def verify_relations(l: int, max_degree: int) -> dict:
                             sign = -1 if k % 2 else 1
                             word = (x,) * (power - k) + (y,) + (x,) * k
                             add(out, sign * comb(power, k), compose(word, lam))
-                        lhs = Vec(out)
-                        if lhs:  # the right side is zero, whose JSON is []
-                            yield f"serre {x},{y}", shape_vec_json(lhs), []
+                        if any(out.values()):  # the right side is zero, whose JSON is []
+                            yield f"serre {x},{y}", shape_vec_json(Vec(out)), []
 
     shapes = partitions_up_to(max_degree)
     return fock.report(shapes, check, shape_label_json, l=l, degree=max_degree)

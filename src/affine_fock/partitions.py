@@ -67,10 +67,11 @@ def transpose(lam: tuple[int, ...]) -> tuple[int, ...]:
 class Vec:
     """Finite linear combination of hashable basis labels.
 
-    The constructor takes a dict, an iterable of (label, coefficient) pairs
-    or None, copies it and drops zero coefficients; no operation keeps a
-    zero coefficient. `terms` is never mutated after construction.
-    Coefficients are stored as given: ints on every route but the geometric one, which
+    The constructor takes a dict, (label, coefficient) pairs (the last of a
+    repeated label wins) or None, copies it with dict() and drops zero
+    coefficients, filtering only when a zero is present; no operation keeps
+    a zero, and `terms` is never mutated after construction. Coefficients
+    are stored as given: ints on every route but the geometric one, which
     divides and so yields Fractions. Sums, negatives and scalar multiples
     keep the subclass (LaurentPoly stays LaurentPoly). `apply` is the one
     lift of a per-label map to vectors, and returns a plain Vec.
@@ -79,9 +80,8 @@ class Vec:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        if not isinstance(terms, dict):
-            terms = dict(terms or ())
-        self.terms = {k: v for k, v in terms.items() if v}
+        terms = dict(terms or ())
+        self.terms = terms if all(terms.values()) else {k: v for k, v in terms.items() if v}
 
     @classmethod
     def basis(cls, label) -> "Vec":

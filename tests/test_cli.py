@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -303,6 +304,44 @@ def test_matrix_csv_frozen(capsys):
         "[2],[2],1\n"
         '"[1,1]","[1,1]",1\n'
     )
+
+
+def test_matrix_pretty_frozen(capsys):
+    """The 27 --pretty lines of f_0 on the l = 3, degree-6 slice, pinned by
+    their sha256 from before the pretty lines were built lazily."""
+    code, out, _ = run_main(
+        capsys, "matrix", "--g", "f_0", "--l", "3", "--degree", "6", "--pretty"
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == ["[1] <- []: 1", "[4] <- [3]: 1"]
+    assert len(out.splitlines()) == 27
+    digest = "fcb12697560e1b3bd030cfe70de623f42c3f9eb8533bfba02998e810d491265b"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--g", "f_0", "--l", "3", "--degree", "6"),
+        ("core-quotient", "--l", "3", "--lambda", "[4,2,1]"),
+        ("core-quotient", "--l", "2", "--inverse", "--c", "[1,-1]", "--q", "[[1],[]]"),
+    ],
+)
+def test_json_mode_formats_no_pretty_line(capsys, monkeypatch, argv):
+    """Only --pretty prints the pretty lines, so JSON mode builds none: no
+    _plabel call. Building them eagerly made 54 for the matrix."""
+    calls = []
+    plain = cli._plabel
+
+    def counted(lam):
+        calls.append(lam)
+        return plain(lam)
+
+    monkeypatch.setattr(cli, "_plabel", counted)
+    code, out, _ = run_main(capsys, *argv)
+    assert code == 0 and json.loads(out) and calls == []
+    code, pretty, _ = run_main(capsys, *argv, "--pretty")
+    assert code == 0 and calls and not pretty.startswith("{")
 
 
 def test_matrix_formats_same_entries(capsys):

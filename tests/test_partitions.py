@@ -372,6 +372,51 @@ def test_vec_constructor_copies_and_drops_zeros():
     assert Vec(source).terms is not source
 
 
+def vec_terms_oracle(terms):
+    """The constructor's filter as a comprehension over every term, the
+    form it had before it copied with dict() and filtered only on a zero."""
+    if not isinstance(terms, dict):
+        terms = dict(terms or ())
+    return {k: v for k, v in terms.items() if v}
+
+
+vec_labels = st.one_of(st.integers(-3, 3), st.tuples(st.integers(1, 3), st.integers(1, 3)))
+vec_coeffs = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+vec_pairs = st.lists(st.tuples(vec_labels, vec_coeffs), max_size=8)
+# each form of constructor input, built from one list of pairs
+VEC_INPUTS = {
+    "dict": dict,
+    "pair list": list,
+    "pair iterator": iter,
+    "None": lambda pairs: None,
+    "empty dict": lambda pairs: {},
+    "empty list": lambda pairs: [],
+}
+
+
+@given(vec_pairs, st.sampled_from(sorted(VEC_INPUTS)))
+def test_vec_constructor_matches_the_comprehension_oracle(pairs, form):
+    """Dicts with and without zeros, pair lists that repeat a label (the
+    last pair wins), a one-shot iterator, None and empty inputs: the terms
+    equal the oracle's, in the same order, and a later change to the input
+    leaves the Vec as it was."""
+    expected = vec_terms_oracle(VEC_INPUTS[form](pairs))
+    source = VEC_INPUTS[form](pairs)
+    v = Vec(source)
+    assert v.terms == expected and list(v.terms.items()) == list(expected.items())
+    assert v.terms is not source and 0 not in v.terms.values()
+    if isinstance(source, dict):
+        source.clear()
+        source["new"] = 1
+    elif isinstance(source, list):
+        source.append(("new", 1))
+        source[:1] = [("changed", 5)]
+    assert v.terms == expected
+
+
 def test_vec_operations_drop_zero_coefficients():
     u, w = Vec({"a": 1, "b": 2}), Vec({"a": -1, "b": 3})
     assert (u + w).terms == {"b": 5}

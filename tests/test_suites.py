@@ -294,6 +294,32 @@ def test_intertwining_builds_one_vec_per_lift(monkeypatch):
     assert calls["calls"] <= 10725
 
 
+def test_relations_builds_a_vec_only_to_compare_or_report(monkeypatch):
+    """A bracket becomes a Vec only to be compared, and a Serre sum, tested
+    on its dict, only to be reported: 3,900 Vecs at l = 3, d = 8. A Vec per
+    Serre sum made 4,416."""
+    calls = _count_calls(monkeypatch, Vec, "__init__")
+    assert fk.verify_relations(3, 8)["status"] == "ok"
+    assert calls["calls"] <= 3900
+
+
+def test_relations_never_changes_a_cached_image(monkeypatch):
+    """Words start from the image memo's dicts, so the suite must only read
+    them: every image explicit_action returned is unchanged afterwards."""
+    plain = fk.explicit_action
+    seen = []
+
+    def recorded(g, v, l):
+        out = plain(g, v, l)
+        seen.append((out.terms, dict(out.terms)))
+        return out
+
+    monkeypatch.setattr(fk, "explicit_action", recorded)
+    assert fk.verify_relations(3, 6)["status"] == "ok"
+    assert len(seen) > 100
+    assert all(terms == before for terms, before in seen)
+
+
 @pytest.mark.parametrize("g", ["e_1", "e_0", "f_2", "f_0", "h_1", "p_1(2)", "p_0(-1)"])
 def test_each_vertex_route_call_builds_one_vec(monkeypatch, g):
     """fk_action lifts each generator once: e_i and f_i dress the root
