@@ -30,7 +30,6 @@ from .partitions import (
     diagonal_char,
     eta,
     hook_lengths,
-    nodes,
     partitions_up_to,
     removable_of_residue,
     remove_node,
@@ -80,13 +79,13 @@ def tangent_char_formula(mu, l: int) -> LaurentPoly:
 
 
 def _removed_node(lam, mu):
-    """The single node of lam missing from mu, or None."""
-    big = set(nodes(lam))
-    small = set(nodes(mu))
-    if small <= big and len(big) - len(small) == 1:
-        (x,) = big - small
-        return x
-    return None
+    """The single node of lam missing from mu, or None: mu must be lam with
+    the first row where they differ one node shorter."""
+    r = next((r for r, (p, q) in enumerate(zip(lam, mu)) if p != q), len(mu))
+    if r >= len(lam):
+        return None
+    b = lam[r] - 1
+    return (r, b) if lam[:r] + ((b,) if b else ()) + lam[r + 1 :] == mu else None
 
 
 def normal_char(mu, lam, i: int, l: int) -> LaurentPoly:
@@ -168,13 +167,10 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
         return Fraction(0)
     counts = residue_counts(lam, l)
     exponent = counts[i] + counts[(i + 1) % l] + (1 if i == 0 else 0)
-    value = Fraction(-1 if exponent % 2 else 1)
     cx = content(x)
-    for a in addable_of_residue(lam, i, l):
-        value *= -(cx - content(a))
-    for r in removable_of_residue(mu, i, l):
-        value /= -(cx - content(r))
-    return value
+    num = prod(content(a) - cx for a in addable_of_residue(lam, i, l))
+    den = prod(content(r) - cx for r in removable_of_residue(mu, i, l))
+    return Fraction(-num if exponent % 2 else num, den)
 
 
 def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:

@@ -10,8 +10,8 @@ all single-bead hops by n steps with the fermionic sign, which on
 partition labels is the border-strip (Murnaghan-Nakayama) expansion.
 States are partitions.Vec over these labels; fock.Vec is the same class.
 
-Both fermions are one integer routine, _fermion(a, b, v), on the bead
-b = j - 1/2; verify_boson_fermion passes the integer bead straight in.
+Both fermions are one integer per-label map, _fermion_on_label, on the
+bead b = j - 1/2; _fermion lifts it, and verify_boson_fermion reads it.
 
 The same fermions arise as coefficients of the kernel fields
 
@@ -42,7 +42,7 @@ each is an unbounded functools.cache. Each kernel returns an immutable
 tuple of (shape, coeff) pairs, so no caller can change a cached answer,
 and Vec.apply lifts those pairs to vectors. A memo that reads l from its
 call, or a seam, lives for one call (frenkel_kac's transported and image).
-epsilon (reads EPSILON_NEG_OFFSETS) and _fermion (FERMION_SIGN) keep none.
+epsilon (EPSILON_NEG_OFFSETS) and _fermion_on_label (FERMION_SIGN) keep none.
 """
 
 from __future__ import annotations
@@ -97,28 +97,29 @@ def _trim(parts) -> tuple:
     return parts[: len(parts) - parts.count(0)]
 
 
-def _fermion(a: int, b: int, v: Vec) -> Vec:
+def _fermion_on_label(a: int, b: int, label) -> tuple:
     """psi (a = +1: delete the bead at b, charge drops by one) or psi_star
-    (a = -1: fill the hole at b, charge rises by one) on every label of v,
-    signed by FERMION_SIGN ** k for the k beads below b.
+    (a = -1: fill the hole at b, charge rises by one) on one label: the
+    pair ((c - a, mu), FERMION_SIGN ** k), k the beads below b, or ().
 
     Deleting grows the k rows above b by one and moves the rows below up one
     place; inserting shrinks the k rows above by one and puts a new row
     k - c - 1 - b in at place k.
     """
+    c, lam = label
+    k, occupied = _bead_index(c, lam, b)
+    if occupied != (a == 1):
+        return ()
+    if a == 1:
+        mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
+    else:
+        mu = _trim(tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:])
+    return (((c - a, mu), FERMION_SIGN ** k),)
 
-    def on_basis(label):
-        c, lam = label
-        k, occupied = _bead_index(c, lam, b)
-        if occupied != (a == 1):
-            return ()
-        if a == 1:
-            mu = tuple(p + 1 for p in lam[:k]) + (1,) * (k - len(lam)) + lam[k + 1 :]
-        else:
-            mu = _trim(tuple(p - 1 for p in lam[:k]) + (k - c - 1 - b,) + lam[k:])
-        return (((c - a, mu), FERMION_SIGN ** k),)
 
-    return v.apply(on_basis)
+def _fermion(a: int, b: int, v: Vec) -> Vec:
+    """psi and psi_star: _fermion_on_label lifted by one Vec.apply."""
+    return v.apply(lambda label: _fermion_on_label(a, b, label))
 
 
 def psi(j, v: Vec) -> Vec:
@@ -272,11 +273,13 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
 def _field_on_shape(a: int, target: int, lam) -> tuple:
     """The rank-one field kernel: the z^target coefficient of
     Gplus(z)^-a Gminus(z)^a on one shape, a = +1 or -1, summed over the
-    degree b that the Gminus part removes. The Gminus part is inverted when
-    a < 0, the Gplus part when a > 0. Only the pairs whose sum does not
-    cancel are kept."""
+    degree b that the Gminus part removes: a horizontal b-strip when a > 0,
+    so b <= lam[0], and a vertical one when a < 0, so b <= len(lam). The
+    Gminus part is inverted when a < 0, the Gplus part when a > 0. Only the
+    pairs whose sum does not cancel are kept."""
     out: dict = {}
-    for b in range(max(0, -target), sum(lam) + 1):
+    top = max(lam, default=0) if a > 0 else len(lam)
+    for b in range(max(0, -target), top + 1):
         for mid, c1 in _gamma_on_shape(-1, b, a < 0, lam):
             for mu, c2 in _gamma_on_shape(1, target + b, a > 0, mid):
                 out[mu] = out.get(mu, 0) + c1 * c2
@@ -319,7 +322,8 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     Runs over all charges |c| <= max_charge, partitions of size <=
     max_degree, and every mode whose image stays within max_degree. The
     labels, in graded order, are report's outer loop; within one label
-    the checks run mode by mode, psi before psi_star.
+    the checks run mode by mode, psi before psi_star; the direct side is a
+    dict of _fermion_on_label's pairs, a Vec only to report a failure.
     """
     for bound in (max_degree, max_charge):
         if type(bound) is not int:
@@ -339,10 +343,10 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
             for kind, a, shift in (("psi", 1, k + c), ("psi_star", -1, -k - 1 - c)):
                 if size + shift > max_degree:
                     continue  # image is above max_degree
-                direct = _fermion(a, k, v)  # k is the bead of j
+                direct = dict(_fermion_on_label(a, k, label))  # k is the bead of j
                 kernel = fermion_field_coeff(kind, j, v)
-                if direct != kernel:
-                    yield f"{kind}({j})", vec_json(direct), vec_json(kernel)
+                if direct != kernel.terms:
+                    yield f"{kind}({j})", vec_json(Vec(direct)), vec_json(kernel)
 
     labels = fock_labels(max_degree, range(-max_charge, max_charge + 1))
     return report(labels, check, fock_label_json, degree=max_degree, charge_bound=max_charge)

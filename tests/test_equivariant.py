@@ -133,6 +133,27 @@ def test_geometric_e_frozen():
     assert eq.geometric_e(0, (1,), (1,), 2) == 0
 
 
+def removed_node_by_sets(lam, mu):
+    """Oracle for eq._removed_node: the one node of lam missing from mu,
+    read off both node sets, or None."""
+    big, small = set(pt.nodes(lam)), set(pt.nodes(mu))
+    if small <= big and len(big) - len(small) == 1:
+        (x,) = big - small
+        return x
+    return None
+
+
+@given(partitions(max_size=10), partitions(max_size=10))
+def test_removed_node_matches_its_set_oracle(lam, mu):
+    """Reading the first row where lam and mu differ finds the same node as
+    the node sets, on random pairs and on every removal from lam."""
+    removals = [pt.remove_node(lam, (a, p - 1)) for a, p in enumerate(lam)
+                if a + 1 == len(lam) or lam[a + 1] < p]
+    for other in [mu, lam, *removals]:
+        assert eq._removed_node(lam, other) == removed_node_by_sets(lam, other)
+        assert eq._removed_node(other, lam) == removed_node_by_sets(other, lam)
+
+
 @given(partitions(max_size=8), st.integers(min_value=2, max_value=3))
 def test_normalization_ratio_from_boundary_contents(lam, l):
     """The ratio of weight-product normalizations across a one-node removal

@@ -206,6 +206,41 @@ def test_field_kernel_matches_its_sum_over_b():
                 assert dict(got) == field_oracle(a, target, lam)
 
 
+def test_field_kernel_removes_no_strip_larger_than_the_shape_can_lose(monkeypatch):
+    """A horizontal strip has at most one node per column and a vertical
+    one at most one per row, so no removal the field kernel asks of the
+    strip kernel is larger than lam[0] or len(lam)."""
+    plain, asked = fock._gamma_on_shape, []
+
+    def recorded(sign, d, inverse, lam):
+        if sign == -1:
+            asked.append((d, inverse, lam))
+        return plain(sign, d, inverse, lam)
+
+    fock._field_on_shape.cache_clear()
+    fock._gamma_on_shape.cache_clear()
+    monkeypatch.setattr(fock, "_gamma_on_shape", recorded)
+    for lam in partitions_up_to(7):
+        n = sum(lam)
+        for a in (1, -1):
+            for target in range(-n - 2, n + 3):
+                fock._field_on_shape(a, target, lam)
+    fock._field_on_shape.cache_clear()
+    assert any(d for d, _, _ in asked)
+    for d, inverse, lam in asked:
+        assert d <= (len(lam) if inverse else max(lam, default=0))
+
+
+def test_fermion_on_label_is_the_direct_fermion():
+    """The boson-fermion suite compares the per-label pairs as a dict, so
+    that dict must be the terms of the lifted direct fermion."""
+    for label in fock_labels(6, range(-2, 3)):
+        for a in (1, -1):
+            for b in range(-10, 10):
+                want = fock._fermion(a, b, Vec.basis(label)).terms
+                assert dict(fock._fermion_on_label(a, b, label)) == want
+
+
 def test_shape_kernels_return_tuples_of_pairs():
     """Each memoised kernel returns an immutable tuple of (shape, int)
     pairs, with no label twice and no zero coefficient."""
