@@ -26,8 +26,10 @@ for node in pt.nodes(lam):
 print("addable:  ", pt.addable_nodes(lam))
 print("removable:", pt.removable_nodes(lam))
 
-# addable_of_residue filters by content class.
-print("addable of residue 0 (l=3):", pt.addable_of_residue(lam, 0, 3))
+# One pass over the rows lists the boundary nodes of one content class, in
+# increasing content, each with its step: +1 addable, -1 removable.
+_, boundary = pt.residue_boundary(lam, 0, 3)
+print("addable of residue 0 (l=3):", [x for x, step, _ in boundary if step > 0])
 
 # The content character packages all contents into one Laurent polynomial;
 # evaluating at 1 recovers the size.
@@ -42,11 +44,15 @@ print(
     pt.diagonal_char(pt.transpose(lam)) == char.compose_power(-1),
 )
 
-# The eta scan counts boundary nodes of one residue class to one side of a
-# given node; it is the sign bookkeeping device for the affine action.
+# The same pass counts the boundary nodes of that class to one side of a
+# given node (addable +1, removable -1): left, the smaller contents, and
+# total - left - step, the greater ones. This eta scan is the sign
+# bookkeeping device for the affine action.
 node = (0, 3)  # the removable node at the end of the first row
+total = sum(step for _, step, _ in boundary)
+left, step = next((left, step) for x, step, left in boundary if x == node)
 print(
     "eta left/right of", node, "for residue 0, l=3:",
-    pt.eta(lam, 0, node, 3, "left"),
-    pt.eta(lam, 0, node, 3, "right"),
+    left,
+    total - left - step,
 )

@@ -38,7 +38,9 @@ print("normalization:", eq.normalization(lam, l))
 # Localization coefficient of one node removal, times the normalization
 # ratio, against the explicit action coefficient.
 i = 1
-for x in pt.removable_of_residue(lam, i, l):
+for x, step, _ in pt.residue_boundary(lam, i, l)[1]:
+    if step > 0:
+        continue
     mu = pt.remove_node(lam, x)
     geo = eq.geometric_e(i, lam, mu, l)
     ratio = Fraction(eq.normalization(mu, l), eq.normalization(lam, l))

@@ -33,7 +33,7 @@ from .partitions import (
     as_partition,
     partitions_up_to,
     remove_node,
-    removable_of_residue,
+    residue_boundary,
 )
 
 
@@ -165,7 +165,9 @@ def cmd_core_quotient(args) -> int:
 
 def _geometric_image(i: int, lam, l: int) -> Vec:
     terms = {}
-    for x in removable_of_residue(lam, i, l):
+    for x, step, _ in residue_boundary(lam, i, l)[1]:
+        if step > 0:
+            continue
         mu = remove_node(lam, x)
         terms[mu] = equivariant.geometric_e(i, lam, mu, l) * Fraction(
             equivariant.normalization(mu, l), equivariant.normalization(lam, l)

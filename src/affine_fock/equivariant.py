@@ -22,18 +22,15 @@ from .frenkel_kac import explicit_action, shape_label_json
 from .partitions import (
     LaurentPoly,
     Vec,
-    addable_of_residue,
     as_partition,
     check_l,
     check_residue,
     content,
     diagonal_char,
-    eta,
     hook_lengths,
     partitions_up_to,
-    removable_of_residue,
     remove_node,
-    residue_counts,
+    residue_boundary,
 )
 
 
@@ -158,6 +155,12 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
     node, times the prefactor (-1)^(v_i + v_{i+1} + delta_{i,0}) in the
     residue counts v of lam. Distinct boundary nodes of one class have
     distinct contents, so no factor vanishes.
+
+    Everything is read off lam's boundary scans (residue_boundary). The
+    removable i-nodes of mu are lam's other than X, since removing X
+    changes the boundary only at X and at residues i - 1 and i + 1; the
+    parity of v_i + v_{i+1} is the count parity of the residue-(i + 1)
+    scan.
     """
     l = check_l(l)
     i = check_residue(i, l)
@@ -165,12 +168,12 @@ def geometric_e(i: int, lam, mu, l: int) -> Fraction:
     x = _removed_node(lam, mu)
     if x is None or content(x) % l != i:
         return Fraction(0)
-    counts = residue_counts(lam, l)
-    exponent = counts[i] + counts[(i + 1) % l] + (1 if i == 0 else 0)
+    odd = residue_boundary(lam, (i + 1) % l, l)[0] ^ (i == 0)
+    _, boundary = residue_boundary(lam, i, l)
     cx = content(x)
-    num = prod(content(a) - cx for a in addable_of_residue(lam, i, l))
-    den = prod(content(r) - cx for r in removable_of_residue(mu, i, l))
-    return Fraction(-num if exponent % 2 else num, den)
+    num = prod(content(a) - cx for a, step, _ in boundary if step > 0)
+    den = prod(content(r) - cx for r, step, _ in boundary if step < 0 and r != x)
+    return Fraction(-num if odd else num, den)
 
 
 def hook_pairs(lam, l: int) -> list[tuple[Fraction, Fraction]]:
@@ -217,11 +220,12 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
     For every removal lam -> mu at residue i, geometric_e times
     normalization(mu)/normalization(lam) must equal the coefficient of b_mu
     in the explicit raising action; and the two one-sided boundary scans
-    must satisfy eta_left + eta_right = c_{i-1/2} + c_{i+1/2} + 1 +
+    around the removed node, left and total - left - step of
+    residue_boundary, must add up to c_{i-1/2} + c_{i+1/2} + 1 +
     delta_{i,0} (mod 2) with the core-vector components wrapped cyclically.
     The shapes are fock.report's outer loop; within one shape the checks
-    run by residue, then by removable node, the coefficient before the
-    parity.
+    run by residue, then by removable node in increasing content, the
+    coefficient before the parity.
     """
     l = check_l(l)
     shapes = partitions_up_to(max_degree)
@@ -233,13 +237,17 @@ def verify_geometric_match(l: int, max_degree: int) -> dict:
         c, _ = core_quotient.core_and_quotient(lam, l)
         for i in range(l):
             image = explicit_action(e[i], Vec.basis(lam), l)
-            for x in removable_of_residue(lam, i, l):
+            _, boundary = residue_boundary(lam, i, l)
+            total = sum(step for _, step, _ in boundary)
+            for x, step, _ in boundary:
+                if step > 0:
+                    continue
                 mu = remove_node(lam, x)
                 want = image.coeff(mu)
                 got = geometric_e(i, lam, mu, l) * Fraction(norm[mu], norm[lam])
                 if got != want:
                     yield f"e_{i}", str(got), str(want)
-                scans = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
+                scans = total - step  # left plus the right scan, total - left - step
                 wrapped = c[(i - 1) % l] + c[i] + 1 + (1 if i == 0 else 0)
                 if (scans - wrapped) % 2:
                     yield f"parity_{i}", str(scans % 2), str(wrapped % 2)

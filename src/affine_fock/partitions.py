@@ -302,8 +302,11 @@ def residue_boundary(
     difference of floor quotients. boundary lists the addable (step +1)
     and removable (step -1) nodes of content congruent to i mod l, in
     increasing content, each as (node, step, left) with left the sum of the
-    steps before it: eta(lam, i, node, l, "left"). The "right" scan is
-    total - left - step, total being the sum of all steps.
+    steps before it: the signed count (addable +1, removable -1) of the
+    residue-i boundary nodes of smaller content. The count on the other
+    side, of greater content, is total - left - step, total being the sum
+    of all steps. This is the program's one walk of the residue-i boundary:
+    the explicit action, h_i and the geometric side all read it.
 
     Walking the rows down, row a offers its addable node (a, lam[a]) at
     content a - lam[a] when lam[a] < lam[a - 1] and its removable node
@@ -332,42 +335,6 @@ def residue_boundary(
     if len(lam) % l == i:
         boundary.append(((len(lam), 0), 1, left))
     return count % 2, boundary
-
-
-def addable_of_residue(lam, i: int, l: int) -> list[tuple[int, int]]:
-    return [x for x in addable_nodes(lam) if content(x) % l == i % l]
-
-
-def removable_of_residue(lam, i: int, l: int) -> list[tuple[int, int]]:
-    return [x for x in removable_nodes(lam) if content(x) % l == i % l]
-
-
-def eta(
-    lam: tuple[int, ...],
-    i: int,
-    node: tuple[int, int],
-    l: int,
-    side: str,
-) -> int:
-    """Signed count of boundary nodes of residue i on one side of a node.
-
-    side="left" counts strictly smaller contents, side="right" strictly
-    greater contents; in both cases addable nodes count +1 and removable
-    nodes count -1. The reference node itself never contributes.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    c0 = content(node)
-    total = 0
-    for x in addable_of_residue(lam, i, l):
-        c = content(x)
-        if (c < c0) if side == "left" else (c > c0):
-            total += 1
-    for x in removable_of_residue(lam, i, l):
-        c = content(x)
-        if (c < c0) if side == "left" else (c > c0):
-            total -= 1
-    return total
 
 
 def hook_lengths(lam: tuple[int, ...]) -> dict[tuple[int, int], int]:

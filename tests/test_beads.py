@@ -15,7 +15,8 @@ from affine_fock import fock, maya
 from affine_fock import frenkel_kac as fk
 from affine_fock.fock import Vec
 from affine_fock.maya import HALF, Maya
-from affine_fock.partitions import eta, partitions_up_to
+from affine_fock.partitions import partitions_up_to
+from node_walk import eta
 
 # ------------------------------------------------------------ Maya oracles
 

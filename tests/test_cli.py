@@ -9,7 +9,7 @@ import pytest
 
 from affine_fock import cli
 from affine_fock import frenkel_kac as fk
-from affine_fock.partitions import Vec
+from affine_fock.partitions import Vec, partitions_up_to
 
 
 def run_main(capsys, *argv):
@@ -124,15 +124,25 @@ def test_act_sides_agree(capsys, g):
 
 
 def test_act_geometric_side_matches_explicit(capsys):
-    images = {}
-    for side in ("explicit", "geometric"):
-        code, out, _ = run_main(
-            capsys,
-            "act", "--g", "e_1", "--lambda", "[2,2]", "--l", "2", "--side", side,
-        )
-        assert code == 0
-        images[side] = json.loads(out)["image"]
-    assert images["explicit"] == images["geometric"]
+    """act --side geometric gives the explicit image on every shape of size
+    <= 7 and every e_i at l = 2, 3, 4, e_0 (the delta_{i0} sign) included."""
+    moved = 0
+    for l in (2, 3, 4):
+        for lam in partitions_up_to(7):
+            for i in range(l):
+                images = {}
+                for side in ("explicit", "geometric"):
+                    code, out, _ = run_main(
+                        capsys,
+                        "act", "--g", f"e_{i}", "--lambda", json.dumps(list(lam)),
+                        "--l", str(l), "--side", side,
+                    )
+                    assert code == 0
+                    images[side] = json.loads(out)["image"]
+                assert images["explicit"] == images["geometric"], (l, lam, i)
+                moved += len(images["geometric"])
+    # every removable node of every shape, once per l
+    assert moved == 3 * sum(len(set(lam)) for lam in partitions_up_to(7))
 
 
 def test_act_malformed_inputs_exit_2(capsys):

@@ -1,13 +1,19 @@
+import importlib
+import json
+import pkgutil
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import affine_fock
+from affine_fock import cli
 from affine_fock import equivariant as eq
 from affine_fock import core_quotient as cq
 from affine_fock import partitions as pt
 from conftest import levels, partitions
+from node_walk import addable_of_residue, geometric_e_by_node_walk, removable_of_residue
 
 
 def test_fixed_point_char_frozen():
@@ -110,14 +116,14 @@ def test_normal_char_node_identity(lam, l):
     """normal_char differs from the tangent character of the smaller shape
     by one weight per matching boundary node."""
     for i in range(l):
-        for x in pt.removable_of_residue(lam, i, l):
+        for x in removable_of_residue(lam, i, l):
             mu = pt.remove_node(lam, x)
             cx = pt.content(x)
             delta: dict = {}
-            for a in pt.addable_of_residue(lam, i, l):
+            for a in addable_of_residue(lam, i, l):
                 e = cx - pt.content(a)
                 delta[e] = delta.get(e, 0) + 1
-            for r in pt.removable_of_residue(mu, i, l):
+            for r in removable_of_residue(mu, i, l):
                 e = cx - pt.content(r)
                 delta[e] = delta.get(e, 0) - 1
             lhs = eq.normal_char(mu, lam, i, l) - eq.tangent_char_formula(mu, l)
@@ -131,6 +137,29 @@ def test_geometric_e_frozen():
     # wrong residue class, and not a one-node removal
     assert eq.geometric_e(0, (2,), (1,), 2) == 0
     assert eq.geometric_e(0, (1,), (1,), 2) == 0
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_geometric_e_matches_node_walk(l):
+    """geometric_e against the node-walk formula it replaced, on every
+    |lam| <= 10 and every i, with mu every shape one node smaller (the
+    removals and the shapes that are no removal), lam itself and every
+    shape one node larger, in both argument orders: geometric_e(i, mu, lam)
+    is how f_i reads it."""
+    by_size = [pt.enumerate_partitions(n) for n in range(12)]
+    nonzero = 0
+    for lam in pt.partitions_up_to(10):
+        n = sum(lam)
+        for mu in (by_size[n - 1] if n else []) + [lam] + by_size[n + 1]:
+            for i in range(l):
+                for big, small in ((lam, mu), (mu, lam)):
+                    got = eq.geometric_e(i, big, small, l)
+                    assert got == geometric_e_by_node_walk(i, big, small, l)
+                    nonzero += got != 0
+    # a removal from a shape of size <= 10 is met from both of its shapes,
+    # one from a shape of size 11 only from the smaller, swapped
+    removals = sum(len(set(lam)) for lam in pt.partitions_up_to(10))
+    assert nonzero == 2 * removals + sum(len(set(lam)) for lam in by_size[11])
 
 
 def removed_node_by_sets(lam, mu):
@@ -159,14 +188,14 @@ def test_normalization_ratio_from_boundary_contents(lam, l):
     """The ratio of weight-product normalizations across a one-node removal
     equals a signed product of content gaps to the matching boundary nodes."""
     for i in range(l):
-        for x in pt.removable_of_residue(lam, i, l):
+        for x in removable_of_residue(lam, i, l):
             mu = pt.remove_node(lam, x)
             cx = pt.content(x)
             ratio = Fraction(eq.normalization(lam, l), eq.normalization(mu, l))
             want = Fraction(1)
-            for a in pt.addable_of_residue(lam, i, l):
+            for a in addable_of_residue(lam, i, l):
                 want *= -abs(cx - pt.content(a))
-            for r in pt.removable_of_residue(mu, i, l):
+            for r in removable_of_residue(mu, i, l):
                 want /= -abs(cx - pt.content(r))
             assert ratio == want
 
@@ -184,3 +213,32 @@ def test_geometric_match_suite():
         assert eq.verify_geometric_match(l, degree)["status"] == "ok"
     with pytest.raises(ValueError):
         eq.verify_geometric_match(2, -1)
+
+
+def test_geometric_side_walks_only_the_boundary_scan(monkeypatch, capsys):
+    """The program's one walk of the residue-i boundary is residue_boundary:
+    with the whole-boundary walks and residue_counts replaced by raising
+    stubs, wherever a module binds them, the geometric suite and act
+    --side geometric still run."""
+    modules = [affine_fock] + [
+        importlib.import_module(f"affine_fock.{info.name}")
+        for info in pkgutil.iter_modules(affine_fock.__path__)
+        if info.name != "__main__"  # importing it would run the CLI
+    ]
+    stubbed = 0
+    for name in ("addable_nodes", "removable_nodes", "residue_counts"):
+        plain = getattr(pt, name)
+
+        def stub(*args, name=name):
+            raise AssertionError(f"{name} was called")
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is plain:
+                    monkeypatch.setattr(module, key, stub)
+                    stubbed += 1
+    assert stubbed >= 3
+    assert eq.verify_geometric_match(3, 6)["status"] == "ok"
+    argv = ["act", "--g", "e_0", "--lambda", "[3,2,1,1]", "--l", "3", "--side", "geometric"]
+    assert cli.main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["image"]) == 2

@@ -16,6 +16,7 @@ from affine_fock.fock import Vec
 from affine_fock.maya import HALF
 from affine_fock.partitions import enumerate_partitions, partitions_up_to
 from conftest import partitions
+from node_walk import addable_of_residue, eta, removable_of_residue
 
 
 def shape_terms(v: Vec) -> dict:
@@ -400,8 +401,8 @@ def test_h_is_diagonal_with_node_counts():
     for l in (2, 3, 4, 5):
         for lam in partitions_up_to(12):
             for i in range(l):
-                want = len(pt.addable_of_residue(lam, i, l)) - len(
-                    pt.removable_of_residue(lam, i, l)
+                want = len(addable_of_residue(lam, i, l)) - len(
+                    removable_of_residue(lam, i, l)
                 )
                 assert fk.explicit_action(f"h_{i}", Vec.basis(lam), l) == want * Vec.basis(lam)
 
@@ -464,14 +465,14 @@ def node_walk_action(step, i, lam, l, side):
     odd = (counts[(i - 1) % l] + counts[i]) % 2
     prefactor = -step if odd else step
     if step > 0:
-        moves = [(x, pt.add_node(lam, x)) for x in pt.addable_of_residue(lam, i, l)]
+        moves = [(x, pt.add_node(lam, x)) for x in addable_of_residue(lam, i, l)]
     else:
         moves = [
-            (x, pt.remove_node(lam, x)) for x in pt.removable_of_residue(lam, i, l)
+            (x, pt.remove_node(lam, x)) for x in removable_of_residue(lam, i, l)
         ]
     out = {}
     for x, shape in moves:
-        sign = -1 if pt.eta(lam, i, x, l, side) % 2 else 1
+        sign = -1 if eta(lam, i, x, l, side) % 2 else 1
         out[shape] = prefactor * sign
     return Vec(out)
 

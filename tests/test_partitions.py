@@ -10,6 +10,7 @@ from affine_fock import frenkel_kac as fk
 from affine_fock import partitions as pt
 from affine_fock.partitions import LaurentPoly, Vec
 from conftest import levels, partitions
+from node_walk import addable_of_residue, eta, removable_of_residue
 
 
 def test_as_partition_validates():
@@ -199,15 +200,16 @@ def test_residue_boundary_frozen():
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
 def test_residue_boundary_matches_node_walk(l):
-    """The one-pass scan against the node-walking helpers it replaced on the
-    explicit route, which stay as its oracle: every |lam| <= 12, every i."""
+    """The one-pass scan against the node-walking helpers it replaced,
+    which live on in node_walk as its reference: every |lam| <= 12, every
+    i."""
     for lam in pt.partitions_up_to(12):
         counts = pt.residue_counts(lam, l)
         for i in range(l):
             odd, boundary = pt.residue_boundary(lam, i, l)
             assert odd == (counts[(i - 1) % l] + counts[i]) % 2
-            addable = pt.addable_of_residue(lam, i, l)
-            removable = pt.removable_of_residue(lam, i, l)
+            addable = addable_of_residue(lam, i, l)
+            removable = removable_of_residue(lam, i, l)
             assert [x for x, step, _ in boundary if step == 1] == addable
             assert [x for x, step, _ in boundary if step == -1] == removable
             contents = [pt.content(x) for x, _, _ in boundary]
@@ -215,8 +217,8 @@ def test_residue_boundary_matches_node_walk(l):
             total = sum(step for _, step, _ in boundary)
             assert total == len(addable) - len(removable)
             for x, step, left in boundary:
-                assert left == pt.eta(lam, i, x, l, "left")
-                assert total - left - step == pt.eta(lam, i, x, l, "right")
+                assert left == eta(lam, i, x, l, "left")
+                assert total - left - step == eta(lam, i, x, l, "right")
 
 
 @given(partitions())
@@ -287,12 +289,12 @@ def test_hook_multiset_transpose_invariant(lam):
 def test_eta_frozen():
     # residue-1 boundary of (2,1) at l=2 holds two removables, at contents
     # -1 and 1; scanning from the content-1 node sees one removable left
-    assert pt.eta((2, 1), 1, (1, 0), 2, "left") == -1
-    assert pt.eta((2, 1), 1, (1, 0), 2, "right") == 0
-    assert pt.eta((2, 1), 1, (0, 1), 2, "left") == 0
-    assert pt.eta((2, 1), 1, (0, 1), 2, "right") == -1
+    assert eta((2, 1), 1, (1, 0), 2, "left") == -1
+    assert eta((2, 1), 1, (1, 0), 2, "right") == 0
+    assert eta((2, 1), 1, (0, 1), 2, "left") == 0
+    assert eta((2, 1), 1, (0, 1), 2, "right") == -1
     with pytest.raises(ValueError):
-        pt.eta((2, 1), 1, (1, 0), 2, "up")
+        eta((2, 1), 1, (1, 0), 2, "up")
 
 
 @given(partitions(), levels)
@@ -300,13 +302,13 @@ def test_eta_scan_bookkeeping(lam, l):
     """Both one-sided scans around a boundary node add up to the addable
     minus removable count, off by one with the sign of the node's kind."""
     for i in range(l):
-        n_add = len(pt.addable_of_residue(lam, i, l))
-        n_rem = len(pt.removable_of_residue(lam, i, l))
-        for x in pt.removable_of_residue(lam, i, l):
-            both = pt.eta(lam, i, x, l, "left") + pt.eta(lam, i, x, l, "right")
+        n_add = len(addable_of_residue(lam, i, l))
+        n_rem = len(removable_of_residue(lam, i, l))
+        for x in removable_of_residue(lam, i, l):
+            both = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
             assert both == n_add - n_rem + 1
-        for x in pt.addable_of_residue(lam, i, l):
-            both = pt.eta(lam, i, x, l, "left") + pt.eta(lam, i, x, l, "right")
+        for x in addable_of_residue(lam, i, l):
+            both = eta(lam, i, x, l, "left") + eta(lam, i, x, l, "right")
             assert both == n_add - n_rem - 1
 
 
