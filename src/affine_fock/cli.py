@@ -102,10 +102,7 @@ def _plabel(lam) -> str:
 def _pretty_vec(entries: list) -> list[str]:
     if not entries:
         return ["0"]
-    return [
-        f"{e['coeff']} * {json.dumps(e['label']['partition'], separators=(',', ':'))}"
-        for e in entries
-    ]
+    return [f"{e['coeff']} * {_plabel(e['label']['partition'])}" for e in entries]
 
 
 def _emit(args, obj, pretty_lines) -> None:
@@ -157,7 +154,7 @@ def cmd_core_quotient(args) -> int:
     }
     _emit(args, out, lambda: [
         f"c = {_plabel(c)}",
-        f"q = {json.dumps([list(p) for p in q], separators=(',', ':'))}",
+        f"q = {_plabel(map(list, q))}",
         f"round trip ok: {str(round_trip).lower()}",
     ])
     return 0

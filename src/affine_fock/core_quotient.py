@@ -14,14 +14,7 @@ partition size decomposes as |lam| = |core| + l * (total quotient size).
 
 from __future__ import annotations
 
-from .partitions import LaurentPoly, as_partition, diagonal_char, hook_lengths
-
-
-def _check_strands(l: int) -> None:
-    if type(l) is not int:
-        raise ValueError(f"number of strands must be an int: {l!r}")
-    if l < 1:
-        raise ValueError("number of strands must be positive")
+from .partitions import LaurentPoly, as_partition, check_strands, diagonal_char, hook_lengths
 
 
 def core_and_quotient(
@@ -34,7 +27,7 @@ def core_and_quotient(
     runner's normalized shape.
     """
     lam = as_partition(lam)
-    _check_strands(l)
+    check_strands(l)
     m = -(-len(lam) // l)  # len(lam) / l rounded up
     levels = [[] for _ in range(l)]
     for i, part in enumerate(lam + (0,) * (m * l - len(lam))):
@@ -50,7 +43,7 @@ def core_and_quotient(
 def check_core_vector(c, l: int) -> tuple[int, ...]:
     """A core vector: l ints (a float or bool is refused, not truncated)
     that sum to zero."""
-    _check_strands(l)
+    check_strands(l)
     c = tuple(c)
     if not all(type(x) is int for x in c):
         raise ValueError(f"core vector components must be ints: {c!r}")
@@ -61,12 +54,18 @@ def check_core_vector(c, l: int) -> tuple[int, ...]:
     return c
 
 
-def cq_inverse(c, q, l: int) -> tuple[int, ...]:
-    """Partition with the given core vector and quotient tuple."""
+def _check_label(c, q, l: int) -> tuple:
+    """A core/quotient label: a core vector and a tuple of l partitions."""
     c = check_core_vector(c, l)
     q = tuple(as_partition(part) for part in q)
     if len(q) != l:
         raise ValueError(f"quotient must have {l} components: {q}")
+    return c, q
+
+
+def cq_inverse(c, q, l: int) -> tuple[int, ...]:
+    """Partition with the given core vector and quotient tuple."""
+    c, q = _check_label(c, q, l)
     m = max(len(qr) + cr for cr, qr in zip(c, q))
     beads = sorted(
         l * (j + cr - part) + r
@@ -78,13 +77,13 @@ def cq_inverse(c, q, l: int) -> tuple[int, ...]:
 
 def core_partition(c, l: int) -> tuple[int, ...]:
     """The l-core determined by a core vector: empty quotient everywhere."""
-    c = check_core_vector(c, l)
+    check_strands(l)
     return cq_inverse(c, ((),) * l, l)
 
 
 def is_l_core(lam, l: int) -> bool:
     """True when no hook length is divisible by l."""
-    _check_strands(l)
+    check_strands(l)
     return all(h % l != 0 for h in hook_lengths(as_partition(lam)).values())
 
 
@@ -95,8 +94,7 @@ def quotient_char_rhs(c, q, l: int) -> LaurentPoly:
     normalized character inflated by l, shifted by l*c_r, and smeared over
     the l consecutive integer contents ending at r.
     """
-    c = check_core_vector(c, l)
-    q = tuple(as_partition(part) for part in q)
+    c, q = _check_label(c, q, l)
     total = diagonal_char(core_partition(c, l))
     for r, (cr, qr) in enumerate(zip(c, q)):
         if not qr:

@@ -23,6 +23,7 @@ from .partitions import (
     LaurentPoly,
     Vec,
     as_partition,
+    check_count,
     check_l,
     check_residue,
     content,
@@ -123,8 +124,7 @@ def points_vector(c, n: int, l: int) -> tuple[int, ...]:
     """
     l = check_l(l)
     c = core_quotient.check_core_vector(c, l)
-    if type(n) is not int or n < 0:
-        raise ValueError(f"hook count must be a non-negative int: {n!r}")
+    check_count(n, "hook count")
     v = [n + sum(x * x for x in c) // 2]
     for j in range(l - 1):
         v.append(v[-1] - c[j])

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import HALF, Vec, bead, enumerate_partitions
+from .partitions import HALF, Vec, bead, check_count, enumerate_partitions
 
 # Sign carried by psi/psi_star for each particle strictly below the acted
 # position. Flipping it desynchronizes the direct fermions from the kernel
@@ -257,8 +257,7 @@ def gamma_coeff(sign: int, d: int, v: Vec, inverse: bool = False) -> Vec:
     """
     if type(sign) is not int or sign not in (1, -1):
         raise ValueError(f"sign must be the int +1 or -1: {sign!r}")
-    if type(d) is not int or d < 0:
-        raise ValueError(f"coefficient degree must be a nonnegative int: {d!r}")
+    check_count(d, "coefficient degree")
     if type(inverse) is not bool:
         raise ValueError(f"inverse must be a bool: {inverse!r}")
 
@@ -325,13 +324,8 @@ def verify_boson_fermion(max_degree: int = 6, max_charge: int = 2) -> dict:
     the checks run mode by mode, psi before psi_star; the direct side is a
     dict of _fermion_on_label's pairs, a Vec only to report a failure.
     """
-    for bound in (max_degree, max_charge):
-        if type(bound) is not int:
-            raise ValueError(f"degree and charge bounds must be ints: {bound!r}")
-    if max_degree < 0 or max_charge < 0:
-        raise ValueError(
-            f"degree and charge bounds must be nonnegative: {max_degree}, {max_charge}"
-        )
+    check_count(max_degree, "degree bound")
+    check_count(max_charge, "charge bound")
     reach = max_degree + max_charge + 2
     modes = [HALF + k for k in range(-reach, reach)]
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .partitions import HALF, _check_half_integer, as_partition, bead
+from .partitions import HALF, _check_half_integer, as_partition, bead, check_strands
 
 
 class Maya:
@@ -172,10 +172,7 @@ def node_patterns(m: Maya) -> list[tuple[int, str]]:
 
 def strand_positions(l: int) -> tuple[Fraction, ...]:
     """The half-integer strand labels 1/2, 3/2, ..., l - 1/2."""
-    if type(l) is not int:
-        raise ValueError(f"number of strands must be an int: {l!r}")
-    if l < 1:
-        raise ValueError("number of strands must be positive")
+    check_strands(l)
     return tuple(Fraction(2 * i + 1, 2) for i in range(l))
 
 

@@ -12,11 +12,15 @@ Vec is the one sparse exact-vector type: the charged Fock labels, the
 lattice labels and the partitions all index Vecs, and LaurentPoly is a Vec
 on integer exponents with the polynomial product added.
 
-The checks of partitions, partition sizes and size bounds, l, residues,
-strand and modulus counts, core vectors, Heisenberg modes and charges keep
-one rule, the CLI's: only `type(x) is int` passes, so a float is refused,
-not truncated, and a bool is not an int. A half-integer Maya position
-(bead) is checked here too, so the integer Fock routines need no maya.
+Each argument rule has one check: as_partition for a partition,
+check_count for a size or bound (>= 0), check_strands for a strand count
+(>= 1), check_l for the number of residue classes (>= 2), check_residue
+for a residue, core_quotient.check_core_vector for a core vector (and one
+private check in core_quotient for a core/quotient label) and
+fock.check_mode for a Heisenberg mode. All keep the CLI's rule: only
+`type(x) is int` passes, so a float is refused, not truncated, and a bool
+is not an int. A half-integer Maya position (bead) is checked here too, so
+the integer Fock routines need no maya.
 """
 
 from __future__ import annotations
@@ -219,10 +223,29 @@ def diagonal_char(lam: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly(counts)
 
 
+def check_count(n: int, what: str) -> int:
+    """A size or a bound, named by what: an int (a float or bool is
+    refused, not truncated), at least zero."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"{what} must be a nonnegative int: {n!r}")
+    return n
+
+
+def check_strands(l: int) -> int:
+    """The number of strands (abacus runners) or residue classes of a
+    content count: an int (a float or bool is refused, not truncated), at
+    least one."""
+    if type(l) is not int:
+        raise ValueError(f"number of strands must be an int: {l!r}")
+    if l < 1:
+        raise ValueError("number of strands must be positive")
+    return l
+
+
 def check_l(l: int) -> int:
     """The number of residue classes of the affine action: an int (a float
-    or bool is refused, not truncated), at least two. (Strand and abacus
-    routines also take l = 1 and keep their own check.)
+    or bool is refused, not truncated), at least two. (Strand, abacus and
+    content-count routines also take l = 1, through check_strands.)
     """
     if type(l) is not int:
         raise ValueError(f"the number of residue classes must be an int: {l!r}")
@@ -260,10 +283,7 @@ def bead(h) -> int:
 
 def residue_counts(lam: tuple[int, ...], l: int) -> tuple[int, ...]:
     """Number of nodes of each content class mod l, indexed 0..l-1."""
-    if type(l) is not int:
-        raise ValueError(f"modulus must be an int: {l!r}")
-    if l < 1:
-        raise ValueError("modulus must be positive")
+    check_strands(l)
     v = [0] * l
     for node in nodes(lam):
         v[content(node) % l] += 1
@@ -314,10 +334,7 @@ def residue_boundary(
     addable node (len(lam), 0) closes the boundary. Contents strictly
     increase along this walk, so no sort is needed.
     """
-    if type(l) is not int:
-        raise ValueError(f"modulus must be an int: {l!r}")
-    if l < 1:
-        raise ValueError("modulus must be positive")
+    check_strands(l)
     i %= l
     j = (i - 1) % l
     count = 0
@@ -373,10 +390,7 @@ def enumerate_partitions(n: int) -> list[tuple[int, ...]]:
 
     For n = 3 this is (3,), (2, 1), (1, 1, 1).
     """
-    if type(n) is not int:
-        raise ValueError(f"can only partition an int: {n!r}")
-    if n < 0:
-        raise ValueError("cannot partition a negative integer")
+    check_count(n, "partition size")
 
     def gen(rem: int, largest: int):
         if rem == 0:
@@ -395,10 +409,7 @@ def partitions_up_to(max_size: int) -> list[tuple[int, ...]]:
     A negative bound is an error rather than an empty list, so that a suite
     enumerating through here cannot pass after checking nothing.
     """
-    if type(max_size) is not int:
-        raise ValueError(f"size bound must be an int: {max_size!r}")
-    if max_size < 0:
-        raise ValueError(f"size bound must be nonnegative: {max_size}")
+    check_count(max_size, "size bound")
     out: list[tuple[int, ...]] = []
     for n in range(max_size + 1):
         out.extend(enumerate_partitions(n))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 
 from affine_fock import core_quotient as cq
-from affine_fock import maya
+from affine_fock import equivariant, maya
 from affine_fock import partitions as pt
 from conftest import levels, partitions
 
@@ -145,6 +145,40 @@ def test_quotient_character_identity(lam, l):
     lhs, rhs = quotient_char_identity(lam, l)
     assert lhs == pt.diagonal_char(lam)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize("q", [((1,), (2,)), ((1,), (2,), ()), ((1,), (2,), (3,))])
+def test_quotient_of_wrong_length_is_refused(q):
+    """A quotient with fewer or more than l components is refused by the
+    character and by both chamber entries: zip used to drop the extra
+    component, so quotient_char_rhs((0, 0), ((1,), (2,), (3,)), 2) gave
+    a character."""
+    l = 2 if len(q) == 3 else 3
+    c = (0,) * l
+    message = f"quotient must have {l} components"
+    for call in (
+        lambda: cq.quotient_char_rhs(c, q, l),
+        lambda: equivariant.infinity_chamber_char(c, q, l),
+        lambda: cq.cq_inverse(c, q, l),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_one_label_check(monkeypatch):
+    """cq_inverse and quotient_char_rhs read a core/quotient label through
+    the same check."""
+
+    class Stub(Exception):
+        pass
+
+    def stub(c, q, l):
+        raise Stub(q)
+
+    monkeypatch.setattr(cq, "_check_label", stub)
+    for call in (cq.cq_inverse, cq.quotient_char_rhs):
+        with pytest.raises(Stub):
+            call((0, 0), ((1,), ()), 2)
 
 
 def test_quotient_char_frozen():

@@ -1,18 +1,15 @@
-import importlib
 import json
-import pkgutil
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-import affine_fock
 from affine_fock import cli
 from affine_fock import equivariant as eq
 from affine_fock import core_quotient as cq
 from affine_fock import partitions as pt
-from conftest import levels, partitions
+from conftest import levels, partitions, stub_everywhere
 from node_walk import addable_of_residue, geometric_e_by_node_walk, removable_of_residue
 
 
@@ -220,23 +217,13 @@ def test_geometric_side_walks_only_the_boundary_scan(monkeypatch, capsys):
     with the whole-boundary walks and residue_counts replaced by raising
     stubs, wherever a module binds them, the geometric suite and act
     --side geometric still run."""
-    modules = [affine_fock] + [
-        importlib.import_module(f"affine_fock.{info.name}")
-        for info in pkgutil.iter_modules(affine_fock.__path__)
-        if info.name != "__main__"  # importing it would run the CLI
-    ]
     stubbed = 0
     for name in ("addable_nodes", "removable_nodes", "residue_counts"):
-        plain = getattr(pt, name)
 
         def stub(*args, name=name):
             raise AssertionError(f"{name} was called")
 
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is plain:
-                    monkeypatch.setattr(module, key, stub)
-                    stubbed += 1
+        stubbed += stub_everywhere(monkeypatch, getattr(pt, name), stub)
     assert stubbed >= 3
     assert eq.verify_geometric_match(3, 6)["status"] == "ok"
     argv = ["act", "--g", "e_0", "--lambda", "[3,2,1,1]", "--l", "3", "--side", "geometric"]

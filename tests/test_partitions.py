@@ -9,7 +9,7 @@ from affine_fock import core_quotient, equivariant, fock, maya
 from affine_fock import frenkel_kac as fk
 from affine_fock import partitions as pt
 from affine_fock.partitions import LaurentPoly, Vec
-from conftest import levels, partitions
+from conftest import levels, partitions, stub_everywhere
 from node_walk import addable_of_residue, eta, removable_of_residue
 
 
@@ -102,6 +102,54 @@ def test_bool_is_not_an_int(call):
     """The library's int checks keep the CLI's rule, which refuses a JSON
     true: a bool is not an int."""
     with pytest.raises(ValueError, match="True"):
+        call()
+
+
+class _Stubbed(Exception):
+    pass
+
+
+_ARG = object()  # the argument under test; the stub passes every other through
+
+
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("check_count", lambda: pt.enumerate_partitions(_ARG)),
+        ("check_count", lambda: pt.partitions_up_to(_ARG)),
+        ("check_count", lambda: equivariant.points_vector((1, -1), _ARG, 2)),
+        ("check_count", lambda: fock.gamma_coeff(1, _ARG, fock.vacuum())),
+        ("check_count", lambda: fock.verify_boson_fermion(_ARG, 0)),
+        ("check_count", lambda: fock.verify_boson_fermion(0, _ARG)),
+        ("check_strands", lambda: core_quotient.core_and_quotient((2, 1), _ARG)),
+        ("check_strands", lambda: core_quotient.check_core_vector((0, 0), _ARG)),
+        ("check_strands", lambda: core_quotient.cq_inverse((0, 0), ((), ()), _ARG)),
+        ("check_strands", lambda: core_quotient.core_partition((0, 0), _ARG)),
+        ("check_strands", lambda: core_quotient.is_l_core((2, 1), _ARG)),
+        ("check_strands", lambda: core_quotient.quotient_char_rhs((0, 0), ((), ()), _ARG)),
+        ("check_strands", lambda: maya.strand_positions(_ARG)),
+        ("check_strands", lambda: pt.residue_counts((2, 1), _ARG)),
+        ("check_strands", lambda: pt.residue_boundary((2, 1), 0, _ARG)),
+    ],
+    ids=["enumerate_partitions", "partitions_up_to", "points_vector", "gamma_coeff",
+         "boson_fermion_degree", "boson_fermion_charge", "core_and_quotient",
+         "check_core_vector", "cq_inverse", "core_partition", "is_l_core",
+         "quotient_char_rhs", "strand_positions", "residue_counts", "residue_boundary"],
+)
+def test_one_check_per_rule(monkeypatch, name, call):
+    """Sizes and bounds go through check_count, strand counts through
+    check_strands, and no entry tests either inline: with the check
+    replaced wherever a module binds it by a stub that raises on _ARG and
+    returns any other argument unchecked, _ARG reaches the stub before
+    anything else looks at it."""
+
+    def stub(value, *rest):
+        if value is _ARG:
+            raise _Stubbed(name)
+        return value
+
+    assert stub_everywhere(monkeypatch, getattr(pt, name), stub)
+    with pytest.raises(_Stubbed, match=name):
         call()
 
 

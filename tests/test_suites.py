@@ -14,7 +14,8 @@ from affine_fock import cli, core_quotient
 from affine_fock import equivariant as eq
 from affine_fock import fock
 from affine_fock import frenkel_kac as fk
-from affine_fock.partitions import LaurentPoly, Vec
+from affine_fock.partitions import LaurentPoly, Vec, residue_boundary
+from conftest import stub_everywhere
 
 SUITES_WITH_L = [
     fk.verify_intertwining,
@@ -102,6 +103,20 @@ def _core_vector_shifted(monkeypatch):
     monkeypatch.setattr(core_quotient, "core_and_quotient", shifted)
 
 
+def _count_parity_flipped_at_1(monkeypatch):
+    """Flip the count parity of residue_boundary at residue 1 only, in
+    every module that binds it. geometric_e reads its prefactor off the
+    residue-(i + 1) scan and the explicit e_i off the residue-i scan, so
+    the flip lands on e_0 on one side and on e_1 on the other; a
+    geometric_e that read the residue-i scan would cancel it out."""
+
+    def flipped(lam, i, l):
+        odd, boundary = residue_boundary(lam, i, l)
+        return odd ^ (i % l == 1), boundary
+
+    stub_everywhere(monkeypatch, residue_boundary, flipped)
+
+
 # (suite, l, degree, the layer to break, sha256 of the mismatch report)
 MISMATCHES = [
     (
@@ -150,7 +165,8 @@ MISMATCHES = [
 ]
 
 # the second failure branch of two suites, by pin name: the Serre sums of
-# relations (6 failures here) and the parity congruence of geometric (9)
+# relations (6 failures here) and the parity congruence of geometric (9);
+# and the geometric suite's own check of the explicit prefactor (9)
 BRANCH_MISMATCHES = {
     "relations-serre": (
         "relations", 3, 4, _e_0_added_to_e_1,
@@ -159,6 +175,10 @@ BRANCH_MISMATCHES = {
     "geometric-parity": (
         "geometric", 3, 4, _core_vector_shifted,
         "150bf99b644dd4a306c015d7991ded4332ef83f354422c6fb211c8154d40ea53",
+    ),
+    "geometric-prefactor": (
+        "geometric", 3, 4, _count_parity_flipped_at_1,
+        "d49dc30b1c2954cc10e9567f25a1f80f2c66dbba03356cbca460c3e004b5d482",
     ),
 }
 
